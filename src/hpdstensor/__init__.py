@@ -29,10 +29,10 @@ from .sysid import (IdentifiabilityReport, check_identifiability_autonomous,
                     identify_io, identify_io_noisy, identify_tt,
                     required_rank)
 from .analysis import (ControllabilityResult, ObservabilityResult,
-                       controllability_full, controllability_ht,
-                       controllability_tt, gradient_sum, lift_operator,
-                       observability_full, observability_ht, observability_tt,
-                       recursive_j_ht, recursive_j_tt)
+                       controllability, controllability_full,
+                       controllability_ht, controllability_tt, gradient_sum,
+                       lift_operator, observability, observability_full,
+                       observability_ht, observability_tt)
 from .benchmarks import BenchRecord, gen_instance, memory_report, timing_report
 
 __version__ = "0.1.0"

@@ -1,5 +1,11 @@
 """Controllability and observability analysis in all three representations.
 
+Both analyses are written once against a single contraction: contract modes
+1..k-1 of the dynamics with k-1 arguments, at most one of them an n x c
+matrix.  A dense tensor, a tensor train and a hierarchical Tucker tree each
+supply it (:func:`contract_leading`, :func:`tt_contract`,
+:func:`htd_contract`), so the three representations run the same algorithm.
+
 Controllability iterates the reachability span: each round contracts the
 dynamics against selections of k-1 current basis columns, appends the new
 directions, and compresses with a compact SVD.  For even k a full-rank span
@@ -7,14 +13,22 @@ certifies strong controllability; for odd k the same test certifies
 accessibility.
 
 Observability stacks the gradients of successive Lie derivatives of the
-output map.  The full-representation path builds the lift operators F_j
-explicitly; the train and tree paths evaluate the same row blocks through
-the RecursiveJ window-merging recursion without ever forming F_j.
+output map in one Taylor-mode pass.  With x(t) = sum_i x_i t^i the
+trajectory from x_0, the j-th Lie derivative of y = C x is j! C x_j, so
+row block j is j! C J_j with J_j = dx_j/dx_0.  The coefficients obey
+(i+1) x_{i+1} = sum A(x_{i_1}, ..., x_{i_{k-1}}) over the compositions
+i_1 + ... + i_{k-1} = i, and J_{i+1} follows by putting J_{i_s} into one
+slot at a time (Griewank & Walther, *Evaluating Derivatives*, 2008,
+ch. 13).  :func:`lift_operator` and :func:`gradient_sum` build the same
+blocks as C A_(k) F_2 ... F_j times the Kronecker-power gradient, the
+paper's explicit formula; they are kept as the reference the tests compare
+against and are not used by the analyses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +36,19 @@ import numpy as np
 from .errors import ArgumentError, ScaleError, ShapeError
 from .hier_tucker import HTucker, htd_contract
 from .kernels import RankTolerance, compact_svd, numerical_rank
-from .tensor_core import (contract_leading, is_almost_symmetric, kron_power,
-                          unfold)
+from .tensor_core import (_require_cubical, contract_leading,
+                          is_almost_symmetric, kron_power)
 from .tensor_train import TensorTrain, tt_contract
 
 __all__ = [
     "ControllabilityResult", "ObservabilityResult",
-    "controllability_full", "controllability_tt", "controllability_ht",
-    "gradient_sum", "lift_operator",
-    "observability_full", "observability_tt", "observability_ht",
-    "recursive_j_tt", "recursive_j_ht", "observability_at_probes",
+    "controllability", "controllability_full", "controllability_tt",
+    "controllability_ht", "gradient_sum", "lift_operator",
+    "observability", "observability_full", "observability_tt",
+    "observability_ht", "observability_at_probes",
 ]
 
-# Dense observability blocks grow as n^(jk); refuse beyond this entry count.
+# The reference lift operators grow as n^(jk); refuse beyond this entry count.
 SCALE_GUARD_ENTRIES = 10_000_000
 
 
@@ -109,55 +123,62 @@ def _reachability(n: int, k: int, b: np.ndarray, candidate_fn,
     return ControllabilityResult(basis, rank, _verdict(k, rank, n), iterations)
 
 
-def controllability_full(tensor: np.ndarray, b: np.ndarray,
-                         tol: RankTolerance | None = None
-                         ) -> ControllabilityResult:
-    """Reachability span of the dense tensor with control matrix B.
+def _contraction(dynamics):
+    """(n, k, contract) for a dense tensor, a train or a tree.
+
+    ``contract(args)`` contracts modes 1..k-1 with k-1 arguments, at most
+    one an n x c matrix; its result reshaped to n rows is the n x c matrix
+    (or n x 1 column) with rows indexed by mode k.
+    """
+    if isinstance(dynamics, TensorTrain):
+        n, k = _require_cubical(dynamics.dims)
+        return n, k, lambda args: tt_contract(dynamics, args)
+    if isinstance(dynamics, HTucker):
+        n, k = _require_cubical(dynamics.dims)
+        return n, k, lambda args: htd_contract(dynamics, args)
+    tensor = np.asarray(dynamics, dtype=float)
+    n, k = _require_cubical(tensor.shape)
+    return n, k, lambda args: contract_leading(tensor, args)
+
+
+def controllability(dynamics, b: np.ndarray,
+                    tol: RankTolerance | None = None) -> ControllabilityResult:
+    """Reachability span of the dynamics with control matrix B.
 
     Candidate directions are A v_1 ... v_{k-1} over selections of current
-    basis columns: multisets when the tensor is almost symmetric (ordered
-    selections would duplicate columns), full tuples otherwise.
+    basis columns: multisets for a train, a tree, or an almost symmetric
+    dense tensor (ordered selections would duplicate columns), full tuples
+    for any other dense tensor.
     """
-    tensor = np.asarray(tensor, dtype=float)
-    dims = set(tensor.shape)
-    if len(dims) != 1:
-        raise ShapeError(f"tensor is not cubical: shape {tensor.shape}")
-    n, k = tensor.shape[0], tensor.ndim
+    n, k, contract = _contraction(dynamics)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != n:
         raise ShapeError(f"B must have {n} rows, got {b.shape}")
-    multisets = is_almost_symmetric(tensor, 1e-9)
-    return _reachability(
-        n, k, b, lambda sel: contract_leading(tensor, sel), tol, multisets)
+    multisets = (isinstance(dynamics, (TensorTrain, HTucker))
+                 or is_almost_symmetric(dynamics, 1e-9))
+    return _reachability(n, k, b, lambda sel: contract(sel).ravel(), tol,
+                         multisets)
+
+
+def controllability_full(tensor: np.ndarray, b: np.ndarray,
+                         tol: RankTolerance | None = None
+                         ) -> ControllabilityResult:
+    """Reachability span of the dense tensor; see :func:`controllability`."""
+    return controllability(tensor, b, tol)
 
 
 def controllability_tt(train: TensorTrain, b: np.ndarray,
                        tol: RankTolerance | None = None
                        ) -> ControllabilityResult:
-    """Reachability span computed through train contractions only."""
-    dims = set(train.dims)
-    if len(dims) != 1:
-        raise ShapeError(f"train is not cubical: dims {train.dims}")
-    n, k = train.dims[0], train.order
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] != n:
-        raise ShapeError(f"B must have {n} rows, got {b.shape}")
-    return _reachability(
-        n, k, b, lambda sel: tt_contract(train, sel).ravel(), tol, True)
+    """Reachability span through train contractions only."""
+    return controllability(train, b, tol)
 
 
 def controllability_ht(ht: HTucker, b: np.ndarray,
                        tol: RankTolerance | None = None
                        ) -> ControllabilityResult:
-    """Reachability span computed through leaf-substituted tree sweeps."""
-    if len(set(ht.dims)) != 1:
-        raise ShapeError(f"representation is not cubical: dims {ht.dims}")
-    n, k = ht.dims[0], len(ht.dims)
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] != n:
-        raise ShapeError(f"B must have {n} rows, got {b.shape}")
-    return _reachability(
-        n, k, b, lambda sel: htd_contract(ht, sel).ravel(), tol, True)
+    """Reachability span through leaf-substituted tree sweeps."""
+    return controllability(ht, b, tol)
 
 
 def gradient_sum(x: np.ndarray, m: int) -> np.ndarray:
@@ -194,7 +215,7 @@ def lift_operator(a_k: np.ndarray, j: int, k: int) -> np.ndarray:
     cols = n ** (j * k - 2 * j + 1)
     if rows * cols > SCALE_GUARD_ENTRIES:
         raise ScaleError(
-            f"F_{j} would hold {rows * cols} entries; use the tt/ht path")
+            f"F_{j} would hold {rows * cols} entries")
     total = np.zeros((rows, cols))
     for i in range(1, slots + 1):
         total += np.kron(np.eye(n ** (i - 1)),
@@ -202,135 +223,81 @@ def lift_operator(a_k: np.ndarray, j: int, k: int) -> np.ndarray:
     return total
 
 
-def _observability_verdict(blocks, n: int, tol, x, depth) -> ObservabilityResult:
-    stacked = np.vstack(blocks)
-    rank = numerical_rank(stacked, tol)
-    return ObservabilityResult(rank, n, rank == n,
-                               [np.asarray(x, dtype=float).ravel()], depth)
+def _compositions(total: int, parts: int):
+    """Ordered tuples of ``parts`` nonnegative integers summing to ``total``."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _check_depth(n: int, k: int, depth: int | None, guard_dense: bool):
+def _lie_gradients(n: int, k: int, contract, c: np.ndarray, x: np.ndarray,
+                   depth: int) -> list[np.ndarray]:
+    """Row blocks C, 1! C J_1, ..., depth! C J_depth with J_j = dx_j/dx_0."""
+    coeffs = [x]            # Taylor coefficients x_i
+    tangents = [np.eye(n)]  # J_i
+    blocks = [c]
+    for i in range(depth):
+        coeff = np.zeros(n)
+        tangent = np.zeros((n, n))
+        for parts in _compositions(i, k - 1):
+            args = [coeffs[p] for p in parts]
+            if i + 1 < depth:  # no later step reads x_depth
+                coeff += contract(args).ravel()
+            for s, p in enumerate(parts):
+                slot = args[:s] + [tangents[p]] + args[s + 1:]
+                tangent += contract(slot).reshape(n, n)
+        coeffs.append(coeff / (i + 1))
+        tangents.append(tangent / (i + 1))
+        blocks.append(math.factorial(i + 1) * (c @ tangents[-1]))
+    return blocks
+
+
+def observability(dynamics, c: np.ndarray, x: np.ndarray,
+                  depth: int | None = None,
+                  tol: RankTolerance | None = None) -> ObservabilityResult:
+    """State-dependent observability matrix rank at a probe state.
+
+    Row block 0 is C and row block j is the gradient of the j-th Lie
+    derivative of y = C x, evaluated as j! C dx_j/dx_0 from the Taylor
+    coefficients x_j of the trajectory through x.  ``depth`` defaults to
+    n-1 in every representation.
+    """
+    n, k, contract = _contraction(dynamics)
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    if c.shape[1] != n:
+        raise ShapeError(f"C must have {n} columns, got {c.shape}")
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != n:
+        raise ShapeError(f"probe state must have length {n}, got {x.shape}")
     if depth is None:
         depth = n - 1
-        if guard_dense:
-            while depth > 0 and _dense_block_entries(n, k, depth) > SCALE_GUARD_ENTRIES:
-                depth -= 1
     if depth < 0 or depth > n - 1:
         raise ArgumentError(f"depth must be in 0..{n - 1}, got {depth}")
-    return depth
-
-
-def _dense_block_entries(n: int, k: int, j: int) -> int:
-    m_j = j * k - 2 * j + 1
-    f_cols = n ** m_j
-    f_rows = n ** ((j - 1) * k - 2 * (j - 1) + 1) if j >= 2 else n
-    return max(f_rows * f_cols, n ** m_j * n)
+    rank = numerical_rank(
+        np.vstack(_lie_gradients(n, k, contract, c, x, depth)), tol)
+    return ObservabilityResult(rank, n, rank == n, [x], depth)
 
 
 def observability_full(tensor: np.ndarray, c: np.ndarray, x: np.ndarray,
                        depth: int | None = None,
                        tol: RankTolerance | None = None
                        ) -> ObservabilityResult:
-    """State-dependent observability matrix rank at a probe state.
-
-    Row block j is C A_(k) F_2 ... F_j times the Kronecker-power gradient of
-    x^[jk-2j+1]; block 0 is C itself.  ``depth`` defaults to n-1 capped by
-    the dense scale guard; an explicit depth beyond the guard raises.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    if len(set(tensor.shape)) != 1:
-        raise ShapeError(f"tensor is not cubical: shape {tensor.shape}")
-    n, k = tensor.shape[0], tensor.ndim
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.shape[1] != n:
-        raise ShapeError(f"C must have {n} columns, got {c.shape}")
-    x = np.asarray(x, dtype=float).ravel()
-    explicit = depth is not None
-    depth = _check_depth(n, k, depth, guard_dense=True)
-    if explicit and depth >= 1 \
-            and _dense_block_entries(n, k, depth) > SCALE_GUARD_ENTRIES:
-        raise ScaleError("requested depth exceeds the dense scale guard; "
-                         "use the tt/ht path")
-
-    a_k = unfold(tensor, {k})
-    blocks = [c]
-    prefix = a_k
-    for j in range(1, depth + 1):
-        if j >= 2:
-            prefix = prefix @ lift_operator(a_k, j, k)
-        blocks.append(c @ prefix @ gradient_sum(x, j * k - 2 * j + 1))
-    return _observability_verdict(blocks, n, tol, x, depth)
-
-
-def _recursive_j(contract, n: int, k: int, j: int, z: list) -> np.ndarray:
-    expected = j * k - 2 * j + 1
-    if len(z) != expected:
-        raise ArgumentError(f"level-{j} lists hold {expected} elements, "
-                            f"got {len(z)}")
-    if j == 1:
-        return contract(z)
-    out = None
-    merged_len = (j - 1) * k - 2 * (j - 1) + 1
-    for i in range(merged_len):
-        window = z[i:i + k - 1]
-        zhat = contract(window)
-        merged = z[:i] + [zhat] + z[i + k - 1:]
-        term = _recursive_j(contract, n, k, j - 1, merged)
-        out = term if out is None else out + term
-    return out
-
-
-def recursive_j_tt(train: TensorTrain, j: int, z: list) -> np.ndarray:
-    """RecursiveJ on the train: sliding windows of k-1 list elements are
-    contracted into single entries until one contraction remains."""
-    n, k = train.dims[0], train.order
-    return _recursive_j(lambda w: tt_contract(train, w), n, k, j, list(z))
-
-
-def recursive_j_ht(ht: HTucker, j: int, z: list) -> np.ndarray:
-    """RecursiveJ on the tree, merging windows through leaf substitution."""
-    n, k = ht.dims[0], len(ht.dims)
-    return _recursive_j(lambda w: htd_contract(ht, w), n, k, j, list(z))
-
-
-def _observability_low_rank(contract, n: int, k: int, c, x, depth, tol):
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.shape[1] != n:
-        raise ShapeError(f"C must have {n} columns, got {c.shape}")
-    x = np.asarray(x, dtype=float).ravel()
-    depth = _check_depth(n, k, depth, guard_dense=False)
-    eye = np.eye(n)
-    blocks = [c]
-    for j in range(1, depth + 1):
-        m_j = j * k - 2 * j + 1
-        total = np.zeros((n, n))
-        for q in range(1, m_j + 1):
-            z = [x] * (q - 1) + [eye] + [x] * (m_j - q)
-            total = total + _recursive_j(contract, n, k, j, z)
-        blocks.append(c @ total)
-    return _observability_verdict(blocks, n, tol, x, depth)
+    """Observability rank of the dense tensor; see :func:`observability`."""
+    return observability(tensor, c, x, depth, tol)
 
 
 def observability_tt(train: TensorTrain, c: np.ndarray, x: np.ndarray,
                      depth: int | None = None,
                      tol: RankTolerance | None = None) -> ObservabilityResult:
     """Observability rank computed through train contractions only."""
-    if len(set(train.dims)) != 1:
-        raise ShapeError(f"train is not cubical: dims {train.dims}")
-    n, k = train.dims[0], train.order
-    return _observability_low_rank(
-        lambda w: tt_contract(train, w), n, k, c, x, depth, tol)
+    return observability(train, c, x, depth, tol)
 
 
 def observability_ht(ht: HTucker, c: np.ndarray, x: np.ndarray,
                      depth: int | None = None,
                      tol: RankTolerance | None = None) -> ObservabilityResult:
     """Observability rank computed through tree contractions only."""
-    if len(set(ht.dims)) != 1:
-        raise ShapeError(f"representation is not cubical: dims {ht.dims}")
-    n, k = ht.dims[0], len(ht.dims)
-    return _observability_low_rank(
-        lambda w: htd_contract(ht, w), n, k, c, x, depth, tol)
+    return observability(ht, c, x, depth, tol)
 
 
 def observability_at_probes(observe, probes, **kwargs) -> ObservabilityResult:

@@ -104,15 +104,6 @@ def cmd_identify(args) -> int:
     return 0
 
 
-def _dispatch_controllability(model: HpdsModel, b, tol):
-    rep = model.representation
-    if rep == "tt":
-        return analysis.controllability_tt(model.dynamics, b, tol)
-    if rep == "ht":
-        return analysis.controllability_ht(model.dynamics, b, tol)
-    return analysis.controllability_full(model.dynamics, b, tol)
-
-
 def cmd_analyze_controllability(args) -> int:
     model = serialize.read_model(args.model)
     b = serialize.read_matrix_file(args.B) if args.B else model.B
@@ -120,7 +111,7 @@ def cmd_analyze_controllability(args) -> int:
         raise ArgumentError("no control matrix: pass --B or store B in the model")
     tol = _tolerance(args)
     start = time.perf_counter()
-    result = _dispatch_controllability(model, b, tol)
+    result = analysis.controllability(model.dynamics, b, tol)
     elapsed = (time.perf_counter() - start) * 1e3
     serialize.write_json_file(args.out, {
         "rank": result.rank,
@@ -138,24 +129,15 @@ def cmd_analyze_observability(args) -> int:
     c = serialize.read_matrix_file(args.C) if args.C else model.C
     if c is None:
         raise ArgumentError("no output matrix: pass --C or store C in the model")
-    tol = _tolerance(args)
-    rep = model.representation
-    if rep == "tt":
-        observe = partial(analysis.observability_tt, model.dynamics, c,
-                          depth=args.depth, tol=tol)
-    elif rep == "ht":
-        observe = partial(analysis.observability_ht, model.dynamics, c,
-                          depth=args.depth, tol=tol)
-    else:
-        observe = partial(analysis.observability_full, model.dynamics, c,
-                          depth=args.depth, tol=tol)
+    observe = partial(analysis.observability, model.dynamics, c,
+                      depth=args.depth, tol=_tolerance(args))
     if args.x:
         probes = [serialize.read_vector_csv(args.x)]
     else:
         g = generator(args.seed)
         probes = [g.random(model.n) * 2.0 - 1.0 for _ in range(args.probes)]
     start = time.perf_counter()
-    result = analysis.observability_at_probes(lambda x: observe(x=x), probes)
+    result = analysis.observability_at_probes(observe, probes)
     elapsed = (time.perf_counter() - start) * 1e3
     serialize.write_json_file(args.out, {
         "rank": result.matrix_rank,
@@ -163,7 +145,7 @@ def cmd_analyze_observability(args) -> int:
         "verdict": bool(result.verdict),
         "depth": result.depth,
         "probes": len(result.probe_states),
-        "representation": rep,
+        "representation": model.representation,
         "elapsed_ms": elapsed if args.timing else None,
     })
     return 0

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedError
 from .kernels import RankTolerance, compact_svd
+from .tensor_core import _as_columns, _require_cubical
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
@@ -256,21 +257,6 @@ def htd_reconstruct(h: HTucker) -> np.ndarray:
     return np.transpose(shaped, np.argsort([p - 1 for p in order]))
 
 
-def _require_cubical(h: HTucker) -> tuple[int, int]:
-    if len(set(h.dims)) != 1:
-        raise ShapeError(f"representation is not cubical: dims {h.dims}")
-    return h.dims[0], len(h.dims)
-
-
-def _as_columns(arg: np.ndarray, n: int) -> np.ndarray:
-    arg = np.asarray(arg, dtype=float)
-    if arg.ndim == 1:
-        arg = arg.reshape(-1, 1)
-    if arg.ndim != 2 or arg.shape[0] != n:
-        raise ShapeError(f"argument must have {n} rows, got shape {arg.shape}")
-    return arg
-
-
 def htd_contract(h: HTucker, args) -> np.ndarray:
     """Contract modes 1..k-1 against vectors, at most one being a matrix.
 
@@ -279,7 +265,7 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
     full factor.  Returns the n x (prod c_p) matrix with rows indexed by
     mode k, matching the dense A_(k) Kronecker contraction.
     """
-    n, k = _require_cubical(h)
+    n, k = _require_cubical(h.dims)
     args = list(args)
     if len(args) != k - 1:
         raise ArgumentError(f"expected {k - 1} arguments, got {len(args)}")
@@ -304,7 +290,7 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
 
 def htd_eval_hpds(h: HTucker, x: np.ndarray) -> np.ndarray:
     """Evaluate A_(k) x^[k-1] directly on the tree representation."""
-    n, k = _require_cubical(h)
+    n, k = _require_cubical(h.dims)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")

@@ -19,7 +19,7 @@ from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      ShapeError)
 from .hier_tucker import (DimensionTree, HTucker, _project_on_children,
                           _unfold_ordered, build_tree)
-from .kernels import RankTolerance, compact_svd, least_squares, pinv
+from .kernels import CompactSvd, RankTolerance, compact_svd, least_squares
 from .model import HpdsModel, SampleSet
 from .tensor_core import almost_symmetrize, fold, khatri_rao_power, unfold
 from .tensor_train import tt_decompose
@@ -66,9 +66,7 @@ def required_rank(n: int, k: int) -> int:
     return total
 
 
-def _report(data: np.ndarray, required: int,
-            tol: RankTolerance | None) -> IdentifiabilityReport:
-    svd = compact_svd(data, tol)
+def _report(svd: CompactSvd, required: int) -> IdentifiabilityReport:
     observed = svd.rank
     margin = float(svd.S[-1]) if observed else 0.0
     satisfied = observed == required
@@ -84,34 +82,27 @@ def check_identifiability_autonomous(samples: SampleSet, k: int,
     if samples.X0 is None:
         raise ArgumentError("sample set has no state matrix X0")
     n = samples.X0.shape[0]
-    xhat = khatri_rao_power(samples.X0, k - 1)
-    return _report(xhat, required_rank(n, k), tol)
+    svd = compact_svd(khatri_rao_power(samples.X0, k - 1), tol)
+    return _report(svd, required_rank(n, k))
 
 
 def _recover_unfolding(samples: SampleSet, k: int,
-                       tol: RankTolerance | None,
-                       sigma_mode: str = "pinv") -> np.ndarray:
+                       tol: RankTolerance | None) -> np.ndarray:
     """A_(k) = X1 V0 S0^+ U0^T from the compact SVD of the Khatri-Rao power.
 
-    ``sigma_mode`` "transpose" replaces S0^+ by S0^T, the literal reading of
-    the decomposition algorithms' initialization; it does not invert the
-    data map and is kept only so tests can demonstrate that.
+    One SVD serves both the rank condition and the pseudo-inverse.
     """
     if samples.X0 is None or samples.X1 is None:
         raise ArgumentError("autonomous identification needs X0 and X1")
     if samples.x1_kind != "derivative":
         raise ArgumentError("autonomous identification needs derivative data; "
                             "use the io path for discrete samples")
-    report = check_identifiability_autonomous(samples, k, tol)
+    n = samples.X0.shape[0]
+    svd = compact_svd(khatri_rao_power(samples.X0, k - 1), tol)
+    report = _report(svd, required_rank(n, k))
     if not report.satisfied:
         raise IdentifiabilityError(report)
-    xhat = khatri_rao_power(samples.X0, k - 1)
-    if sigma_mode == "pinv":
-        return samples.X1 @ pinv(xhat, tol)
-    if sigma_mode == "transpose":
-        svd = compact_svd(xhat, tol)
-        return samples.X1 @ svd.V @ np.diag(svd.S).T @ svd.U.T
-    raise ArgumentError(f"unknown sigma_mode {sigma_mode!r}")
+    return samples.X1 @ ((svd.V / svd.S) @ svd.U.T)
 
 
 def identify_full(samples: SampleSet, k: int,
@@ -128,15 +119,15 @@ def identify_full(samples: SampleSet, k: int,
     return HpdsModel(k, n, tensor)
 
 
-def identify_tt(samples: SampleSet, k: int, tol: RankTolerance | None = None,
-                sigma_mode: str = "pinv") -> HpdsModel:
+def identify_tt(samples: SampleSet, k: int,
+                tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dynamics directly in tensor-train form.
 
     Runs the sequential-SVD decomposition on the recovered k-mode unfolding,
     peeling mode k first, so the factor ordering matches the train-based
     evaluation formula.
     """
-    ak = _recover_unfolding(samples, k, tol, sigma_mode=sigma_mode)
+    ak = _recover_unfolding(samples, k, tol)
     n = samples.X0.shape[0]
     train = tt_decompose(ak, dims=[n] * k, tol=tol)
     return HpdsModel(k, n, train)
@@ -229,7 +220,7 @@ def check_identifiability_io(samples: SampleSet, k: int,
     x0 = states[:, :t - 1]
     xhat = khatri_rao_power(x0, k - 1)
     stack = np.vstack([xhat, samples.U0[:, :t - 1]])
-    report = _report(stack, required, tol)
+    report = _report(compact_svd(stack, tol), required)
     # exact data from an n-state system has rank(Y0) <= n, so demanding
     # >= n is the same condition there while tolerating noise-inflated rank
     if y_rank < n:

@@ -13,15 +13,9 @@ as well, which is the psi order of an order-2 tensor.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
-
-# Symmetrization enumerates (k-1)! axis permutations; above this order the
-# cost is no longer desk scale.
-MAX_SYMMETRIZE_ORDER = 8
+from .errors import ArgumentError, ShapeError, UnsupportedError
 
 
 def psi_index(indices, dims) -> int:
@@ -155,11 +149,22 @@ def mode_vec_product(tensor: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return np.tensordot(tensor, v, axes=([p - 1], [0]))
 
 
-def _require_cubical(tensor: np.ndarray) -> tuple[int, int]:
-    dims = set(tensor.shape)
-    if len(dims) != 1:
-        raise ShapeError(f"tensor is not cubical: shape {tensor.shape}")
-    return tensor.shape[0], tensor.ndim
+def _require_cubical(dims) -> tuple[int, int]:
+    """(n, k) of a cubical shape; raises ShapeError for any other shape."""
+    dims = tuple(dims)
+    if len(set(dims)) != 1:
+        raise ShapeError(f"dynamics is not cubical: dims {dims}")
+    return dims[0], len(dims)
+
+
+def _as_columns(arg: np.ndarray, n: int) -> np.ndarray:
+    """An n-vector as an n x 1 matrix, an n x c matrix unchanged."""
+    arg = np.asarray(arg, dtype=float)
+    if arg.ndim == 1:
+        arg = arg.reshape(-1, 1)
+    if arg.ndim != 2 or arg.shape[0] != n:
+        raise ShapeError(f"argument must have {n} rows, got shape {arg.shape}")
+    return arg
 
 
 def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -169,7 +174,7 @@ def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     the output.  For k = 2 this is the 2-mode matricization times x.
     """
     tensor = np.asarray(tensor, dtype=float)
-    n, k = _require_cubical(tensor)
+    n, k = _require_cubical(tensor.shape)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
@@ -179,52 +184,57 @@ def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def contract_leading(tensor: np.ndarray, vectors) -> np.ndarray:
-    """Contract modes 1..len(vectors) of ``tensor`` with the given vectors."""
+def contract_leading(tensor: np.ndarray, args) -> np.ndarray:
+    """Contract modes 1..len(args) of ``tensor``, at most one arg a matrix.
+
+    Vectors (or n x 1 columns) remove their mode.  An n x c matrix with
+    c > 1 replaces its mode by a column index placed last, so contracting
+    modes 1..k-1 of an order-k tensor gives an n-vector, or the n x c
+    matrix with rows indexed by mode k, as :func:`tt_contract` does.
+    """
     out = np.asarray(tensor, dtype=float)
-    for v in vectors:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != out.shape[0]:
-            raise ShapeError("vector length does not match leading mode")
-        out = np.tensordot(v, out, axes=(0, 0))
+    wide = False
+    for arg in args:
+        arg = _as_columns(arg, out.shape[0] if out.ndim else 0)
+        if arg.shape[1] == 1:
+            out = np.tensordot(arg[:, 0], out, axes=(0, 0))
+            continue
+        if wide:
+            raise UnsupportedError("at most one matrix argument is supported")
+        wide = True
+        out = np.moveaxis(np.tensordot(arg, out, axes=(0, 0)), 0, -1)
     return out
-
-
-def _first_axes_permutations(k: int):
-    if k - 1 > MAX_SYMMETRIZE_ORDER:
-        raise ArgumentError(
-            f"symmetrization over the first {k - 1} modes exceeds the "
-            f"order-{MAX_SYMMETRIZE_ORDER} cost gate")
-    return permutations(range(k - 1))
 
 
 def almost_symmetrize(tensor: np.ndarray) -> np.ndarray:
     """Average a cubical tensor over all permutations of its first k-1 modes.
 
-    The result evaluates to the same polynomial under
-    :func:`hpds_eval_full` and is the canonical almost-symmetric
-    representative of that polynomial.
+    The average is applied in factored form: the symmetrizer of modes
+    1..m equals the product over j = 2..m of (1/j)(e + sum_{i<j} (i j)),
+    which costs O(k^2) transposes instead of (k-1)!.  The result evaluates
+    to the same polynomial under :func:`hpds_eval_full` and is the
+    canonical almost-symmetric representative of that polynomial.
     """
     tensor = np.asarray(tensor, dtype=float)
-    _, k = _require_cubical(tensor)
-    if k <= 2:
-        return tensor.copy()
-    acc = np.zeros_like(tensor)
-    count = 0
-    for perm in _first_axes_permutations(k):
-        acc += np.transpose(tensor, perm + (k - 1,))
-        count += 1
-    return acc / count
+    _, k = _require_cubical(tensor.shape)
+    out = tensor.copy()
+    for j in range(1, k - 1):
+        acc = out.copy()
+        for i in range(j):
+            acc += np.swapaxes(out, i, j)
+        out = acc / (j + 1)
+    return out
 
 
 def is_almost_symmetric(tensor: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff entries deviate by at most ``tol`` under permutations of the
-    first k-1 indices."""
+    """True iff ``max |T - almost_symmetrize(T)| <= tol``.
+
+    This accepts every tensor whose entries deviate by at most ``tol``
+    under each permutation of the first k-1 indices (the average of those
+    deviations is the distance to the symmetrization), and a tensor it
+    accepts deviates by at most 2 tol under every such permutation, since
+    |T - P(T)| <= |T - S| + |P(S - T)| for the symmetrization S = P(S).
+    """
     tensor = np.asarray(tensor, dtype=float)
-    _, k = _require_cubical(tensor)
-    if k <= 2:
-        return True
-    for perm in _first_axes_permutations(k):
-        if np.max(np.abs(tensor - np.transpose(tensor, perm + (k - 1,)))) > tol:
-            return False
-    return True
+    return bool(np.max(np.abs(tensor - almost_symmetrize(tensor)),
+                       initial=0.0) <= tol)

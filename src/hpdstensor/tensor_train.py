@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedError
 from .kernels import RankTolerance, compact_svd
-from .tensor_core import unfold
+from .tensor_core import _as_columns, _require_cubical, unfold
 
 __all__ = [
     "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_eval_hpds",
@@ -120,13 +120,6 @@ def tt_reconstruct(train: TensorTrain) -> np.ndarray:
     return acc[..., 0]
 
 
-def _require_cubical_train(train: TensorTrain) -> tuple[int, int]:
-    dims = set(train.dims)
-    if len(dims) != 1:
-        raise ShapeError(f"train is not cubical: dims {train.dims}")
-    return train.dims[0], train.order
-
-
 def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
     """Evaluate A_(k) x^[k-1] directly on the cores.
 
@@ -134,7 +127,7 @@ def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
     the resulting rank-space matrices are chained, and the last core closes
     the chain as its (r_{k-1} x n) matrix slice.
     """
-    n, k = _require_cubical_train(train)
+    n, k = _require_cubical(train.dims)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
@@ -142,15 +135,6 @@ def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
     for core in train.cores[:-1]:
         msg = msg @ np.tensordot(x, core, axes=(0, 1))
     return msg @ train.cores[-1][:, :, 0]
-
-
-def _as_columns(arg: np.ndarray, n: int) -> np.ndarray:
-    arg = np.asarray(arg, dtype=float)
-    if arg.ndim == 1:
-        arg = arg.reshape(-1, 1)
-    if arg.ndim != 2 or arg.shape[0] != n:
-        raise ShapeError(f"argument must have {n} rows, got shape {arg.shape}")
-    return arg
 
 
 def tt_contract(train: TensorTrain, args) -> np.ndarray:
@@ -161,7 +145,7 @@ def tt_contract(train: TensorTrain, args) -> np.ndarray:
     matrix whose rows are indexed by mode k; with all-vector arguments this
     is the n x 1 column A v_1 v_2 ... v_{k-1}.
     """
-    n, k = _require_cubical_train(train)
+    n, k = _require_cubical(train.dims)
     args = list(args)
     if len(args) != k - 1:
         raise ArgumentError(f"expected {k - 1} arguments, got {len(args)}")

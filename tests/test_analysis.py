@@ -2,14 +2,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.analysis import (controllability_full, controllability_ht,
+from hpdstensor.analysis import (_contraction, _lie_gradients,
+                                 controllability_full, controllability_ht,
                                  controllability_tt, gradient_sum,
                                  lift_operator, observability_at_probes,
                                  observability_full, observability_ht,
-                                 observability_tt, recursive_j_ht,
-                                 recursive_j_tt)
+                                 observability_tt)
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ScaleError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
 from hpdstensor.kernels import compact_svd, numerical_rank, subspace_equal
@@ -32,14 +35,26 @@ def kalman_observability(a, c):
     return np.vstack([c @ np.linalg.matrix_power(a, i) for i in range(n)])
 
 
-def dense_window_oracle(tensor, args):
+def representations(tensor):
+    return {"full": tensor, "tt": tt_decompose(tensor),
+            "ht": htd_decompose(tensor)}
+
+
+def production_blocks(dynamics, c, x, depth):
+    n, k, contract = _contraction(dynamics)
+    return _lie_gradients(n, k, contract, c, x, depth)
+
+
+def reference_blocks(tensor, c, x, depth):
+    """C A_(k) F_2 ... F_j gradient_sum(x, m_j), the paper's formula."""
     k = tensor.ndim
     a_k = tc.unfold(tensor, {k})
-    chain = np.ones((1, 1))
-    for a in reversed(list(args)):
-        a = a.reshape(-1, 1) if a.ndim == 1 else a
-        chain = np.kron(chain, a)
-    return a_k @ chain
+    blocks, prefix = [c], a_k
+    for j in range(1, depth + 1):
+        if j >= 2:
+            prefix = prefix @ lift_operator(a_k, j, k)
+        blocks.append(c @ prefix @ gradient_sum(x, j * k - 2 * j + 1))
+    return blocks
 
 
 class TestControllabilityFull:
@@ -105,6 +120,13 @@ class TestControllabilityFull:
             extra = tc.contract_leading(linear_tensor(a), [v])
             resid = extra - res.basis @ (res.basis.T @ extra)
             assert np.max(np.abs(resid)) <= 1e-10
+
+    def test_order_ten_symmetry_check_has_no_gate(self):
+        inst = gen_instance("symmetric", 3, 10)
+        b = np.random.default_rng(5).standard_normal((3, 1))
+        full = controllability_full(inst.dense, b)
+        assert full.rank == 3 == controllability_tt(inst.tt, b).rank
+        assert controllability_ht(inst.ht, b).rank == 3
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -263,58 +285,111 @@ class TestObservabilityFull:
             observability_full(t, np.eye(2), np.ones(2), depth=5)
 
 
-class TestRecursiveJ:
-    def setup_method(self):
-        rng = np.random.default_rng(15)
-        self.n, self.k = 2, 3
-        self.tensor = tc.almost_symmetrize(rng.standard_normal((2, 2, 2)))
-        self.a_k = tc.unfold(self.tensor, {3})
-        self.train = tt_decompose(self.tensor)
-        self.tree = htd_decompose(self.tensor)
-        self.x = rng.standard_normal(2)
+def _block_case(n, k, symmetric, seed):
+    rng = np.random.default_rng(seed)
+    tensor = rng.standard_normal((n,) * k)
+    if symmetric:
+        tensor = tc.almost_symmetrize(tensor)
+    return tensor, rng.standard_normal((2, n)), rng.standard_normal(n)
 
-    def test_level1_matches_dense(self):
-        eye = np.eye(self.n)
-        for q in (1, 2):
-            z = [self.x] * (q - 1) + [eye] + [self.x] * (2 - q)
-            expected = dense_window_oracle(self.tensor, z)
-            assert np.allclose(recursive_j_tt(self.train, 1, z), expected,
-                               atol=1e-10)
-            assert np.allclose(recursive_j_ht(self.tree, 1, z), expected,
-                               atol=1e-10)
 
-    def test_level2_matches_lifted_dense(self):
-        eye = np.eye(self.n)
-        f2 = lift_operator(self.a_k, 2, self.k)
-        for q in (1, 2, 3):
-            z = [self.x] * (q - 1) + [eye] + [self.x] * (3 - q)
-            chain = np.ones((1, 1))
-            for a in reversed(z):
-                chain = np.kron(chain, a.reshape(-1, 1) if a.ndim == 1 else a)
-            expected = self.a_k @ f2 @ chain
-            got_tt = recursive_j_tt(self.train, 2, z)
-            got_ht = recursive_j_ht(self.tree, 2, z)
-            assert np.allclose(got_tt, expected, atol=1e-9), q
-            assert np.allclose(got_ht, got_tt, atol=1e-9)
+class TestLieGradientBlocks:
+    @pytest.mark.parametrize("n,k,depth", [
+        (2, 2, 1), (4, 2, 3), (2, 3, 1), (3, 3, 2), (4, 3, 3),
+        (2, 4, 1), (3, 4, 2), (4, 4, 2)])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocks_match_lift_reference(self, n, k, depth, symmetric):
+        tensor, c, x = _block_case(n, k, symmetric, 10 * n + k)
+        expected = reference_blocks(tensor, c, x, depth)
+        for name, dyn in representations(tensor).items():
+            got = production_blocks(dyn, c, x, depth)
+            assert len(got) == depth + 1
+            for j, (g, e) in enumerate(zip(got, expected)):
+                err = np.max(np.abs(g - e)) / np.max(np.abs(e))
+                assert err <= 1e-12, (name, j, err)
 
-    def test_zero_state_homogeneity(self):
-        # with x = 0 only merge paths that keep the identity alive survive
-        eye = np.eye(self.n)
-        z = [np.zeros(self.n), eye, np.zeros(self.n)]
-        got = recursive_j_tt(self.train, 2, z)
-        f2 = lift_operator(self.a_k, 2, self.k)
-        chain = np.kron(np.zeros((2, 1)), np.kron(eye, np.zeros((2, 1))))
-        assert np.allclose(got, self.a_k @ f2 @ chain, atol=1e-12)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_zero_state(self, k):
+        # at x = 0 only the linear part of the flow survives: for k > 2
+        # every block beyond C vanishes
+        tensor, c, _ = _block_case(3, k, False, 30 + k)
+        expected = reference_blocks(tensor, c, np.zeros(3), 2)
+        for dyn in representations(tensor).values():
+            got = production_blocks(dyn, c, np.zeros(3), 2)
+            for g, e in zip(got, expected):
+                assert np.allclose(g, e, rtol=0, atol=1e-12)
+                if k > 2 and g is not c:
+                    assert not np.any(g)
 
-    def test_all_vector_lists_give_columns(self):
-        z = [self.x, self.x, self.x]
-        for got in (recursive_j_tt(self.train, 2, z),
-                    recursive_j_ht(self.tree, 2, z)):
-            assert got.shape == (self.n, 1)
+    def test_depth_two_against_nested_finite_differences(self):
+        n, k = 3, 3
+        tensor, c, x = _block_case(n, k, False, 40)
+        c = c[:1]
+        h = 1e-4
 
-    def test_wrong_list_length(self):
-        with pytest.raises(ArgumentError):
-            recursive_j_tt(self.train, 2, [self.x, np.eye(2)])
+        def grad(fun, z):
+            out = np.zeros(n)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = h
+                out[i] = (fun(z + e) - fun(z - e)) / (2 * h)
+            return out
+
+        def lie1(z):
+            return float(c[0] @ tc.hpds_eval_full(tensor, z))
+
+        def lie2(z):
+            return float(grad(lie1, z) @ tc.hpds_eval_full(tensor, z))
+
+        numeric = grad(lie2, x)
+        for dyn in representations(tensor).values():
+            block2 = production_blocks(dyn, c, x, 2)[2].ravel()
+            assert np.max(np.abs(block2 - numeric)) <= \
+                1e-6 * max(1.0, np.max(np.abs(numeric)))
+
+    def test_default_depth_is_n_minus_one_in_every_representation(self):
+        inst = gen_instance("symmetric", 7, 3)
+        rng = np.random.default_rng(41)
+        c, x = rng.random((1, 7)) * 2 - 1, rng.random(7) * 2 - 1
+        results = [observe(dyn, c, x) for observe, dyn in (
+            (observability_full, inst.dense), (observability_tt, inst.tt),
+            (observability_ht, inst.ht))]
+        assert {r.depth for r in results} == {6}
+        assert {r.matrix_rank for r in results} == {7}
+
+
+def _unobservable_last_state(tensor, c):
+    """Make x_n invisible: C ignores it and it never feeds x_1..x_{n-1}."""
+    n, k = tensor.shape[0], tensor.ndim
+    tensor = tensor.copy()
+    for s in range(k - 1):
+        index = [slice(None)] * k
+        index[s], index[-1] = n - 1, slice(0, n - 1)
+        tensor[tuple(index)] = 0.0
+    c = c.copy()
+    c[:, -1] = 0.0
+    return tensor, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(2, 4), k=st.integers(2, 4), rows=st.integers(1, 2),
+       scheme=st.sampled_from(["generic", "symmetric", "unobservable"]),
+       seed=st.integers(0, 2 ** 16))
+def test_observability_agrees_across_representations(n, k, rows, scheme, seed):
+    rng = np.random.default_rng(seed)
+    tensor = rng.standard_normal((n,) * k)
+    c = rng.standard_normal((rows, n))
+    x = rng.standard_normal(n)
+    if scheme == "symmetric":
+        tensor = tc.almost_symmetrize(tensor)
+    elif scheme == "unobservable":
+        tensor, c = _unobservable_last_state(tensor, c)
+    results = [observability_full(tensor, c, x),
+               observability_tt(tt_decompose(tensor), c, x),
+               observability_ht(htd_decompose(tensor), c, x)]
+    assert len({(r.matrix_rank, r.verdict, r.depth) for r in results}) == 1
+    if scheme == "unobservable":
+        assert results[0].matrix_rank < n and not results[0].verdict
 
 
 class TestObservabilityDecomposed:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hpdstensor import sysid
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import (ArgumentError, AssumptionError,
                                IdentifiabilityError)
@@ -120,6 +121,23 @@ class TestIdentifyFull:
         assert np.allclose(tc.unfold(model.dynamics, {2}), s.X1 @ pinv(s.X0),
                            atol=1e-10)
 
+    def test_one_svd_of_the_khatri_rao_power(self, monkeypatch):
+        shapes = []
+
+        def counting_svd(matrix, tol=None):
+            shapes.append(np.shape(matrix))
+            return compact_svd(matrix, tol)
+
+        monkeypatch.setattr(sysid, "compact_svd", counting_svd)
+        rng = np.random.default_rng(8)
+        truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
+        s = exact_autonomous_samples(truth, 12, 9)
+        model = identify_full(s, 3)
+        assert shapes == [(9, 12)]
+        assert np.allclose(model.dynamics, truth, atol=1e-8)
+        unfolding = s.X1 @ pinv(tc.khatri_rao_power(s.X0, 2))
+        assert np.array_equal(tc.unfold(model.dynamics, {3}), unfolding)
+
     def test_condition_failure_raises_with_report(self):
         rng = np.random.default_rng(7)
         s = SampleSet(tau=0.1, X0=rng.standard_normal((3, 4)),
@@ -178,15 +196,6 @@ class TestIdentifyDecomposed:
         assert tt_model.dynamics.order == 2
         assert np.allclose(tc.unfold(tt_reconstruct(tt_model.dynamics), {2}),
                            a, atol=1e-9)
-
-    def test_sigma_transpose_mode_does_not_recover(self):
-        rng = np.random.default_rng(16)
-        truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
-        s = exact_autonomous_samples(truth, 16, 17)
-        good = identify_tt(s, 3, sigma_mode="pinv")
-        bad = identify_tt(s, 3, sigma_mode="transpose")
-        assert np.linalg.norm(tt_reconstruct(good.dynamics) - truth) <= 1e-8
-        assert np.linalg.norm(tt_reconstruct(bad.dynamics) - truth) > 1e-2
 
     def test_ht_matches_full(self):
         rng = np.random.default_rng(18)

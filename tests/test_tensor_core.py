@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.errors import ArgumentError, ShapeError
+from hpdstensor.errors import ArgumentError, ShapeError, UnsupportedError
 
 
 class TestPsiIndex:
@@ -255,6 +255,55 @@ class TestAlmostSymmetry:
         for s in svals[1:]:
             assert np.allclose(s, svals[0], atol=1e-10)
 
-    def test_cost_gate(self):
-        with pytest.raises(ArgumentError):
-            tc.almost_symmetrize(np.zeros((1,) * 12))
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_factored_symmetrizer_equals_permutation_average(self, k):
+        t = np.random.default_rng(20 + k).standard_normal((2,) * k)
+        perms = list(itertools.permutations(range(k - 1)))
+        average = sum(np.transpose(t, p + (k - 1,)) for p in perms) / len(perms)
+        assert np.max(np.abs(tc.almost_symmetrize(t) - average)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [10, 11])
+    def test_high_orders_have_no_cost_gate(self, k):
+        rng = np.random.default_rng(k)
+        t = rng.standard_normal((2,) * k)
+        s = tc.almost_symmetrize(t)
+        assert tc.is_almost_symmetric(s, 1e-12)
+        assert not tc.is_almost_symmetric(t, 1e-9)
+        # adjacent transpositions generate every permutation of modes 1..k-1
+        for i in range(k - 2):
+            assert np.max(np.abs(s - np.swapaxes(s, i, i + 1))) <= 1e-13
+        x = rng.standard_normal(2)
+        assert np.allclose(tc.hpds_eval_full(s, x), tc.hpds_eval_full(t, x),
+                           rtol=1e-12, atol=1e-12)
+        assert tc.almost_symmetrize(np.zeros((1,) * 12)).shape == (1,) * 12
+
+    def test_check_is_bounded_by_permutation_deviations(self):
+        rng = np.random.default_rng(12)
+        t = tc.almost_symmetrize(rng.standard_normal((3, 3, 3, 3)))
+        t += 1e-6 * rng.standard_normal(t.shape)
+        worst = max(np.max(np.abs(t - np.transpose(t, p + (3,))))
+                    for p in itertools.permutations(range(3)))
+        tol = np.max(np.abs(t - tc.almost_symmetrize(t)))
+        # accepts whatever the permutation loop accepted, and every
+        # permutation of an accepted tensor deviates by at most 2 tol
+        assert tc.is_almost_symmetric(t, worst)
+        assert tc.is_almost_symmetric(t, tol)
+        assert not tc.is_almost_symmetric(t, 0.99 * tol)
+        assert tol <= worst <= 2 * tol
+
+
+class TestContractLeading:
+    def test_all_vectors_remove_their_modes(self):
+        t = np.random.default_rng(13).standard_normal((2, 2, 2, 2))
+        v = np.array([0.5, -1.0])
+        assert tc.contract_leading(t, [v, v, v]).shape == (2,)
+        assert tc.contract_leading(t, [v]).shape == (2, 2, 2)
+        assert np.allclose(tc.contract_leading(t, [v, v, v]),
+                           tc.hpds_eval_full(t, v))
+
+    def test_argument_validation(self):
+        t = np.zeros((2, 2, 2))
+        with pytest.raises(UnsupportedError):
+            tc.contract_leading(t, [np.eye(2), np.eye(2)])
+        with pytest.raises(ShapeError):
+            tc.contract_leading(t, [np.ones(3), np.ones(2)])

@@ -160,6 +160,19 @@ class TestContract:
             assert np.allclose(tt_contract(train, args),
                                dense_contraction_oracle(t, args), atol=1e-10)
 
+    def test_dense_matrix_slot_matches_train(self):
+        t = random_tensor((3, 3, 3, 3), 18)
+        train = tt_decompose(t)
+        rng = np.random.default_rng(19)
+        x, m = rng.standard_normal(3), rng.standard_normal((3, 2))
+        for q in range(3):
+            args = [x] * q + [m] + [x] * (2 - q)
+            dense = tc.contract_leading(t, args)
+            assert dense.shape == (3, 2)
+            assert np.allclose(dense, dense_contraction_oracle(t, args),
+                               atol=1e-12)
+            assert np.allclose(dense, tt_contract(train, args), atol=1e-10)
+
     def test_control_columns_match_mode_products(self):
         t = random_tensor((3, 3, 3), 14)
         train = tt_decompose(t)
