@@ -22,8 +22,9 @@ from .tensor_train import (TensorTrain, tt_contract, tt_decompose,
 from .hier_tucker import (DimensionTree, HTucker, TreeNode, build_tree,
                           htd_contract, htd_decompose, htd_eval_hpds,
                           htd_param_count, htd_reconstruct)
-from .model import (HpdsModel, SampleSet, add_noise, eval_derivative,
-                    simulate_continuous, simulate_discrete)
+from .model import (FORMATS, HpdsModel, SampleSet, add_noise,
+                    eval_derivative, format_of, simulate_continuous,
+                    simulate_discrete)
 from .sysid import (IdentifiabilityReport, check_identifiability_autonomous,
                     check_identifiability_io, identify_full, identify_ht,
                     identify_io, identify_io_noisy, identify_tt,

@@ -2,9 +2,9 @@
 
 Both analyses are written once against a single contraction: contract modes
 1..k-1 of the dynamics with k-1 arguments, at most one of them an n x c
-matrix.  A dense tensor, a tensor train and a hierarchical Tucker tree each
-supply it (:func:`contract_leading`, :func:`tt_contract`,
-:func:`htd_contract`), so the three representations run the same algorithm.
+matrix.  Each entry of the model's ``FORMATS`` table supplies it
+(:func:`contract_leading`, :func:`tt_contract`, :func:`htd_contract`), so
+the three representations run the same algorithm.
 
 Controllability iterates the reachability span: each round contracts the
 dynamics against selections of k-1 current basis columns, appends the new
@@ -30,15 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ArgumentError, ScaleError, ShapeError
-from .hier_tucker import HTucker, htd_contract
+from .hier_tucker import HTucker
 from .kernels import RankTolerance, compact_svd, numerical_rank
-from .tensor_core import (_require_cubical, contract_leading,
-                          is_almost_symmetric, kron_power)
-from .tensor_train import TensorTrain, tt_contract
+from .model import FORMATS, format_of
+from .tensor_core import _require_cubical, is_almost_symmetric, kron_power
+from .tensor_train import TensorTrain
 
 __all__ = [
     "ControllabilityResult", "ObservabilityResult",
@@ -124,21 +125,16 @@ def _reachability(n: int, k: int, b: np.ndarray, candidate_fn,
 
 
 def _contraction(dynamics):
-    """(n, k, contract) for a dense tensor, a train or a tree.
+    """(n, k, contract) for dynamics held in any of the model ``FORMATS``.
 
     ``contract(args)`` contracts modes 1..k-1 with k-1 arguments, at most
     one an n x c matrix; its result reshaped to n rows is the n x c matrix
     (or n x 1 column) with rows indexed by mode k.
     """
-    if isinstance(dynamics, TensorTrain):
-        n, k = _require_cubical(dynamics.dims)
-        return n, k, lambda args: tt_contract(dynamics, args)
-    if isinstance(dynamics, HTucker):
-        n, k = _require_cubical(dynamics.dims)
-        return n, k, lambda args: htd_contract(dynamics, args)
-    tensor = np.asarray(dynamics, dtype=float)
-    n, k = _require_cubical(tensor.shape)
-    return n, k, lambda args: contract_leading(tensor, args)
+    fmt = FORMATS[format_of(dynamics)]
+    dynamics = fmt.cast(dynamics)
+    n, k = _require_cubical(fmt.dims(dynamics))
+    return n, k, partial(fmt.contract, dynamics)
 
 
 def controllability(dynamics, b: np.ndarray,
@@ -154,7 +150,7 @@ def controllability(dynamics, b: np.ndarray,
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != n:
         raise ShapeError(f"B must have {n} rows, got {b.shape}")
-    multisets = (isinstance(dynamics, (TensorTrain, HTucker))
+    multisets = (format_of(dynamics) != "full"
                  or is_almost_symmetric(dynamics, 1e-9))
     return _reachability(n, k, b, lambda sel: contract(sel).ravel(), tol,
                          multisets)

@@ -10,22 +10,20 @@ the reachable rank.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .analysis import (controllability_full, controllability_ht,
-                       controllability_tt)
+from .analysis import controllability
 from .errors import ArgumentError, NumericError, ScaleError
 from .hier_tucker import (DimensionTree, HTucker, build_tree, htd_decompose,
-                          htd_param_count, htd_reconstruct)
-from .kernels import RankTolerance, numerical_rank
+                          htd_reconstruct)
+from .kernels import RankTolerance
+from .model import FORMATS
 from .randomness import generator
-from .tensor_core import unfold
-from .tensor_train import (TensorTrain, tt_decompose, tt_param_count,
-                           tt_reconstruct)
+from .tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
            "memory_report", "timing_report"]
@@ -58,16 +56,26 @@ class Instance:
     tt: TensorTrain | None
     ht: HTucker | None
 
+    def forms(self) -> dict:
+        """The representations present, keyed by their model format name."""
+        return {name: dyn for name, dyn in
+                (("full", self.dense), ("tt", self.tt), ("ht", self.ht))
+                if dyn is not None}
+
 
 def _symmetric_dense(n: int, k: int, seed: int) -> np.ndarray:
-    """Fully symmetric tensor: one uniform value per index multiset."""
-    g = generator(seed)
-    values = {multiset: g.random() * 2.0 - 1.0
-              for multiset in combinations_with_replacement(range(n), k)}
-    tensor = np.zeros((n,) * k)
-    for idx in np.ndindex(*tensor.shape):
-        tensor[idx] = values[tuple(sorted(idx))]
-    return tensor
+    """Fully symmetric tensor: one uniform value per index multiset.
+
+    Values are drawn in ``combinations_with_replacement(range(n), k)``
+    order, which is the ascending order of the codes of the sorted
+    multi-indices, so an entry's multiset is the rank of its sorted code.
+    """
+    dims = (n,) * k
+    values = generator(seed).random(math.comb(n + k - 1, k)) * 2.0 - 1.0
+    index = np.indices(dims, dtype=np.min_scalar_type(n)).reshape(k, -1)
+    codes = np.ravel_multi_index(np.sort(index, axis=0), dims)
+    _, multiset = np.unique(codes, return_inverse=True)
+    return values[multiset].reshape(dims)
 
 
 def _random_tt(n: int, k: int, rank_cap: int, seed: int) -> TensorTrain:
@@ -125,14 +133,6 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
                     tt_decompose(dense, tol=tol), htd_decompose(dense, tol=tol))
 
 
-def _representation_rank(inst: Instance, repr_name: str) -> int:
-    if repr_name == "full":
-        return numerical_rank(unfold(inst.dense, {inst.k}))
-    if repr_name == "tt":
-        return max(inst.tt.ranks)
-    return inst.ht.max_rank()
-
-
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,
                   seed: int = 0) -> list[BenchRecord]:
     """Exact parameter counts per representation per scheme and order.
@@ -144,27 +144,12 @@ def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,
     for scheme in schemes:
         for k in k_list:
             inst = gen_instance(scheme, n, int(k), rank_cap, seed)
-            counts = {"full": n ** int(k),
-                      "tt": tt_param_count(inst.tt),
-                      "ht": htd_param_count(inst.ht)}
-            for repr_name, params in counts.items():
-                records.append(BenchRecord(scheme, n, int(k), repr_name,
-                                           int(params), 0.0,
-                                           _representation_rank(inst, repr_name),
-                                           seed))
+            for name, dyn in inst.forms().items():
+                fmt = FORMATS[name]
+                records.append(BenchRecord(scheme, n, int(k), name,
+                                           int(fmt.param_count(dyn)), 0.0,
+                                           fmt.max_rank(dyn), seed))
     return records
-
-
-def _controllability_backends(inst: Instance, b: np.ndarray,
-                              tol: RankTolerance | None):
-    backends = {}
-    if inst.dense is not None:
-        backends["full"] = lambda: controllability_full(inst.dense, b, tol)
-    if inst.tt is not None:
-        backends["tt"] = lambda: controllability_tt(inst.tt, b, tol)
-    if inst.ht is not None:
-        backends["ht"] = lambda: controllability_ht(inst.ht, b, tol)
-    return backends
 
 
 def _generate_for_timing(scheme, n, k, rank_cap, seed) -> Instance:
@@ -187,9 +172,9 @@ def timing_report(n_list, k_list, schemes=SCHEMES, m: int = 5,
                   tol: RankTolerance | None = None) -> list[BenchRecord]:
     """Median wall time of controllability construction per representation.
 
-    Runs are sequential on a monotonic clock.  Before recording, the
-    representations present must agree on the reachable rank; disagreement
-    raises instead of logging a bogus timing row.
+    Runs are sequential on a monotonic clock.  The representations present
+    must agree on the reachable rank; disagreement raises instead of
+    returning a bogus timing row.
     """
     if repeats < 1:
         raise ArgumentError("repeats must be >= 1")
@@ -201,29 +186,18 @@ def timing_report(n_list, k_list, schemes=SCHEMES, m: int = 5,
                 k = int(k)
                 inst = _generate_for_timing(scheme, n, k, rank_cap, seed)
                 b = generator(seed + 1).random((n, m)) * 2.0 - 1.0
-                backends = _controllability_backends(inst, b, tol)
                 ranks = {}
-                times = {}
-                for name, run in backends.items():
+                for name, dyn in inst.forms().items():
                     samples = []
                     for _ in range(repeats):
                         t0 = time.perf_counter()
-                        result = run()
+                        result = controllability(dyn, b, tol)
                         samples.append((time.perf_counter() - t0) * 1e3)
                     ranks[name] = result.rank
-                    times[name] = float(np.median(samples))
+                    records.append(BenchRecord(
+                        scheme, n, k, name, int(FORMATS[name].param_count(dyn)),
+                        float(np.median(samples)), result.rank, seed))
                 if len(set(ranks.values())) > 1:
                     raise NumericError(
                         f"rank disagreement across representations: {ranks}")
-                counts = {}
-                if inst.dense is not None:
-                    counts["full"] = n ** k
-                if inst.tt is not None:
-                    counts["tt"] = tt_param_count(inst.tt)
-                if inst.ht is not None:
-                    counts["ht"] = htd_param_count(inst.ht)
-                for name in backends:
-                    records.append(BenchRecord(scheme, n, k, name,
-                                               int(counts[name]),
-                                               times[name], ranks[name], seed))
     return records

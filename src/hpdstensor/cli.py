@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 identifiability condition failed
 (a machine-readable report is still written), 3 numerical failure or
 divergence, 4 scale guard tripped.  Outputs are written atomically and,
 apart from wall-clock measurements requested explicitly, reruns of the
-same command produce byte-identical files.
+same command produce byte-identical files.  Format names (``--repr``,
+``decompose --method``) are keys of ``model.FORMATS``, which builds each
+format from a dense tensor, and of ``serialize.CODECS``, which stores it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 
 
@@ -20,12 +23,10 @@ from . import analysis, benchmarks, serialize
 from .errors import (ArgumentError, AssumptionError, DivergenceError,
                      HpdsError, IdentifiabilityError, NumericError,
                      ScaleError, ShapeError, UnsupportedError)
-from .hier_tucker import htd_decompose
 from .kernels import RankTolerance
-from .model import HpdsModel, add_noise, simulate_continuous, simulate_discrete
+from .model import FORMATS, add_noise, simulate_continuous, simulate_discrete
 from .randomness import generator
-from .sysid import identify_full, identify_ht, identify_io_noisy, identify_tt
-from .tensor_train import tt_decompose
+from .sysid import identify_full, identify_ht, identify_io_noisy
 
 SCHEME_ALIASES = {"sym": "symmetric", "lowtt": "low_tt", "lowht": "low_ht",
                   "symmetric": "symmetric", "low_tt": "low_tt",
@@ -60,34 +61,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _convert_representation(model: HpdsModel, repr_name: str,
-                            tol) -> HpdsModel:
-    if model.representation == repr_name:
-        return model
-    if model.representation != "full":
-        raise ArgumentError("conversion starts from the full representation")
-    if repr_name == "tt":
-        dyn = tt_decompose(model.dynamics, tol=tol)
-    elif repr_name == "ht":
-        dyn = htd_decompose(model.dynamics, tol=tol)
-    else:
-        return model
-    return HpdsModel(model.k, model.n, dyn, B=model.B, C=model.C)
-
-
 def cmd_identify(args) -> int:
     samples = serialize.read_trajectory_csv(args.data)
     tol = _tolerance(args)
     try:
-        if args.io:
-            model = identify_io_noisy(samples, args.order, tol=tol)
-            model = _convert_representation(model, args.repr, tol)
-        elif args.repr == "tt":
-            model = identify_tt(samples, args.order, tol=tol)
-        elif args.repr == "ht":
+        if args.repr == "ht" and not args.io:
+            # one leaf SVD serves modes 1..k-1 of the almost symmetric tensor
             model = identify_ht(samples, args.order, tol=tol)
         else:
-            model = identify_full(samples, args.order, tol=tol)
+            identify = identify_io_noisy if args.io else identify_full
+            model = identify(samples, args.order, tol=tol)
+            model = replace(model, dynamics=FORMATS[args.repr].from_dense(
+                model.dynamics, tol))
     except IdentifiabilityError as exc:
         report = exc.report
         serialize.write_json_file(args.out, {
@@ -153,12 +138,9 @@ def cmd_analyze_observability(args) -> int:
 
 def cmd_decompose(args) -> int:
     tensor = serialize.read_tensor_file(args.tensor)
-    tol = _tolerance(args)
-    if args.method == "tt":
-        obj = serialize.tt_to_obj(tt_decompose(tensor, tol=tol))
-    else:
-        obj = serialize.ht_to_obj(htd_decompose(tensor, tol=tol))
-    serialize.write_json_file(args.out, obj)
+    dynamics = FORMATS[args.method].from_dense(tensor, _tolerance(args))
+    to_obj, _ = serialize.CODECS[args.method]
+    serialize.write_json_file(args.out, to_obj(dynamics))
     return 0
 
 
@@ -221,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ident = sub.add_parser("identify", help="fit a model from a trajectory csv")
     ident.add_argument("--data", required=True)
     ident.add_argument("--order", type=int, required=True)
-    ident.add_argument("--repr", choices=["full", "tt", "ht"], default="full")
+    ident.add_argument("--repr", choices=list(FORMATS), default="full")
     ident.add_argument("--io", action="store_true",
                        help="use the input-output regression path")
     ident.add_argument("--tol", type=float)

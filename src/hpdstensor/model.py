@@ -1,34 +1,98 @@
-"""HPDS model abstraction and trajectory simulation.
+"""HPDS model abstraction, the representation table, and simulation.
 
 A model is ``dx/dt = A x^{k-1} + B u`` with outputs ``y = C x``; the dynamic
-tensor A may live in full, tensor-train, or hierarchical Tucker form, and all
-three backends evaluate the same polynomial.  Sampled trajectories are held
-in :class:`SampleSet` matrices matching the data layout used by the
-identification routines.
+tensor A may live in full, tensor-train, or hierarchical Tucker form.
+:data:`FORMATS` is the one place that knows the three forms: per format name
+it gives the dims, contraction, evaluator, parameter count, maximal rank and
+conversion from a dense tensor, and :func:`format_of` names the format of a
+dynamics object.  Sampled trajectories are held in :class:`SampleSet`
+matrices matching the data layout used by the identification routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ArgumentError, DivergenceError, ShapeError
-from .hier_tucker import HTucker, htd_eval_hpds
+from .hier_tucker import (HTucker, htd_contract, htd_decompose, htd_eval_hpds,
+                          htd_param_count)
+from .kernels import numerical_rank
 from .randomness import gaussian
-from .tensor_core import hpds_eval_full
-from .tensor_train import TensorTrain, tt_eval_hpds
+from .tensor_core import contract_leading, hpds_eval_full, unfold
+from .tensor_train import (TensorTrain, tt_contract, tt_decompose,
+                           tt_eval_hpds, tt_param_count)
 
-__all__ = ["HpdsModel", "SampleSet", "eval_derivative", "simulate_continuous",
-           "simulate_discrete", "add_noise"]
+__all__ = ["Format", "FORMATS", "format_of", "HpdsModel", "SampleSet",
+           "eval_derivative", "simulate_continuous", "simulate_discrete",
+           "add_noise"]
+
+
+@dataclass(frozen=True)
+class Format:
+    """What the package needs to know of one representation of A.
+
+    ``cast(dynamics)`` is the dynamics as a model stores them, ``dims`` their
+    mode sizes, ``contract(dynamics, args)`` contracts modes 1..k-1 with k-1
+    arguments (at most one an n x c matrix) into the n x c result with rows
+    indexed by mode k, ``evaluate(dynamics, x)`` is A x^[k-1],
+    ``param_count`` the number of stored entries, ``max_rank`` the largest
+    rank of the format (the k-mode unfolding rank of a dense tensor), and
+    ``from_dense(tensor, tol)`` builds the format from a dense tensor.
+    """
+
+    cast: Callable
+    dims: Callable
+    contract: Callable
+    evaluate: Callable
+    param_count: Callable
+    max_rank: Callable
+    from_dense: Callable
+
+
+# contract and from_dense look the kernels up at call time, so a wrapper
+# rebound on this module (as a tracer installs) sees calls made via the table.
+FORMATS = {
+    "full": Format(
+        cast=lambda t: np.asarray(t, dtype=float), dims=np.shape,
+        contract=lambda t, args: contract_leading(t, args),
+        evaluate=hpds_eval_full, param_count=np.size,
+        max_rank=lambda t: numerical_rank(unfold(t, {t.ndim})),
+        from_dense=lambda t, tol: np.asarray(t, dtype=float)),
+    "tt": Format(
+        cast=lambda d: d, dims=lambda d: d.dims,
+        contract=lambda d, args: tt_contract(d, args),
+        evaluate=tt_eval_hpds, param_count=tt_param_count,
+        max_rank=lambda d: max(d.ranks),
+        from_dense=lambda t, tol: tt_decompose(t, tol=tol)),
+    "ht": Format(
+        cast=lambda d: d, dims=lambda d: d.dims,
+        contract=lambda d, args: htd_contract(d, args),
+        evaluate=htd_eval_hpds, param_count=htd_param_count,
+        max_rank=lambda d: d.max_rank(),
+        from_dense=lambda t, tol: htd_decompose(t, tol=tol)),
+}
+
+
+def format_of(dynamics) -> str:
+    """The :data:`FORMATS` name of ``dynamics``: "tt" for a TensorTrain, "ht"
+    for an HTucker, "full" for a dense array (or anything array-like)."""
+    if isinstance(dynamics, TensorTrain):
+        return "tt"
+    if isinstance(dynamics, HTucker):
+        return "ht"
+    return "full"
 
 
 @dataclass(frozen=True)
 class HpdsModel:
     """Degree k-1 homogeneous polynomial system with optional input/output.
 
-    ``dynamics`` is one of a cubical order-k ndarray, a TensorTrain, or an
-    HTucker, all of dimension n.  B is n x m, C is l x n; both optional.
+    ``dynamics`` is held in one of the :data:`FORMATS` (a cubical order-k
+    ndarray, a TensorTrain, or an HTucker), all of dimension n.  B is n x m,
+    C is l x n; both optional.
     """
 
     k: int
@@ -40,7 +104,9 @@ class HpdsModel:
     def __post_init__(self):
         if self.k < 2:
             raise ArgumentError("model order k must be >= 2")
-        dims = self._dyn_dims()
+        fmt = FORMATS[format_of(self.dynamics)]
+        object.__setattr__(self, "dynamics", fmt.cast(self.dynamics))
+        dims = fmt.dims(self.dynamics)
         if len(dims) != self.k or set(dims) != {self.n}:
             raise ShapeError(
                 f"dynamics dims {dims} do not match k={self.k}, n={self.n}")
@@ -55,22 +121,9 @@ class HpdsModel:
                 raise ShapeError(f"C must be l x {self.n}, got {c.shape}")
             object.__setattr__(self, "C", c)
 
-    def _dyn_dims(self):
-        if isinstance(self.dynamics, TensorTrain):
-            return self.dynamics.dims
-        if isinstance(self.dynamics, HTucker):
-            return self.dynamics.dims
-        arr = np.asarray(self.dynamics, dtype=float)
-        object.__setattr__(self, "dynamics", arr)
-        return arr.shape
-
     @property
     def representation(self) -> str:
-        if isinstance(self.dynamics, TensorTrain):
-            return "tt"
-        if isinstance(self.dynamics, HTucker):
-            return "ht"
-        return "full"
+        return format_of(self.dynamics)
 
     @property
     def m(self) -> int | None:
@@ -125,12 +178,7 @@ def eval_derivative(model: HpdsModel, x: np.ndarray,
                     u: np.ndarray | None = None) -> np.ndarray:
     """dx/dt at state x (plus B u when an input is given)."""
     x = np.asarray(x, dtype=float).ravel()
-    if model.representation == "tt":
-        dx = tt_eval_hpds(model.dynamics, x)
-    elif model.representation == "ht":
-        dx = htd_eval_hpds(model.dynamics, x)
-    else:
-        dx = hpds_eval_full(model.dynamics, x)
+    dx = FORMATS[model.representation].evaluate(model.dynamics, x)
     if u is not None:
         if model.B is None:
             raise ArgumentError("input given but the model has no B matrix")

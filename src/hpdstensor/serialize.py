@@ -6,7 +6,8 @@ byte-identical files.  Writers stage to a temporary file in the target
 directory and rename, so readers never observe partial output.
 
 Layouts: tensor values are flat in psi (first-index-fastest) order, matrix
-values are column-major.
+values are column-major.  A model file names its dynamics' format in
+``"repr"``, and :data:`CODECS` maps that name to the dynamics' codec.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .tensor_train import TensorTrain
 __all__ = [
     "format_float", "dump_json", "write_text_atomic",
     "tensor_to_obj", "tensor_from_obj", "matrix_to_obj", "matrix_from_obj",
-    "tt_to_obj", "tt_from_obj", "ht_to_obj", "ht_from_obj",
+    "tt_to_obj", "tt_from_obj", "ht_to_obj", "ht_from_obj", "CODECS",
     "model_to_obj", "model_from_obj", "write_model", "read_model",
     "write_tensor_file", "read_tensor_file", "read_matrix_file",
     "write_trajectory_csv", "read_trajectory_csv", "write_bench_csv",
@@ -182,29 +183,25 @@ def ht_from_obj(obj: dict) -> HTucker:
 
 # ----------------------------------------------------------------- models
 
+# (to_obj, from_obj) of the dynamics, per model format name
+CODECS = {"full": (tensor_to_obj, tensor_from_obj),
+          "tt": (tt_to_obj, tt_from_obj),
+          "ht": (ht_to_obj, ht_from_obj)}
+
+
 def model_to_obj(model: HpdsModel) -> dict:
     rep = model.representation
-    if rep == "tt":
-        a_obj = tt_to_obj(model.dynamics)
-    elif rep == "ht":
-        a_obj = ht_to_obj(model.dynamics)
-    else:
-        a_obj = tensor_to_obj(model.dynamics)
-    return {"k": model.k, "n": model.n, "repr": rep, "A": a_obj,
+    return {"k": model.k, "n": model.n, "repr": rep,
+            "A": CODECS[rep][0](model.dynamics),
             "B": None if model.B is None else matrix_to_obj(model.B),
             "C": None if model.C is None else matrix_to_obj(model.C)}
 
 
 def model_from_obj(obj: dict) -> HpdsModel:
     rep = obj["repr"]
-    if rep == "tt":
-        dynamics = tt_from_obj(obj["A"])
-    elif rep == "ht":
-        dynamics = ht_from_obj(obj["A"])
-    elif rep == "full":
-        dynamics = tensor_from_obj(obj["A"])
-    else:
+    if rep not in CODECS:
         raise ArgumentError(f"unknown representation {rep!r}")
+    dynamics = CODECS[rep][1](obj["A"])
     b = None if obj.get("B") is None else matrix_from_obj(obj["B"])
     c = None if obj.get("C") is None else matrix_from_obj(obj["C"])
     return HpdsModel(int(obj["k"]), int(obj["n"]), dynamics, B=b, C=c)

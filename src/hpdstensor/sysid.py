@@ -3,15 +3,16 @@
 The autonomous path recovers the k-mode unfolding A_(k) from state and
 derivative samples through the Khatri-Rao power of the states; the
 input-output path reconstructs states from the output SVD and solves the
-finite-difference relation.  Alongside the full-tensor recovery, the
-tensor-train and hierarchical Tucker pipelines extract the decomposed
-representations directly from the same data.
+finite-difference relation.  The tensor-train result is the full recovery
+converted through the model's ``FORMATS`` table; the hierarchical Tucker
+pipeline builds its tree from the same data with one leaf SVD shared by the
+almost symmetric modes 1..k-1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +21,8 @@ from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
 from .hier_tucker import (DimensionTree, HTucker, _project_on_children,
                           _unfold_ordered, build_tree)
 from .kernels import CompactSvd, RankTolerance, compact_svd, least_squares
-from .model import HpdsModel, SampleSet
+from .model import FORMATS, HpdsModel, SampleSet
 from .tensor_core import almost_symmetrize, fold, khatri_rao_power, unfold
-from .tensor_train import tt_decompose
 
 __all__ = [
     "IdentifiabilityReport", "required_rank", "check_identifiability_autonomous",
@@ -54,13 +54,11 @@ def required_rank(n: int, k: int) -> int:
     """Rank of the Khatri-Rao state power needed for unique identification.
 
     Equals the number of independent entries per row of the unfolding of an
-    almost symmetric tensor: sum over j of C(n, j) * C(k-2, j-1), which is
-    the multiset count C(n+k-2, k-1).
+    almost symmetric tensor, the multiset count C(n+k-2, k-1).
     """
     if n < 1 or k < 2:
         raise ArgumentError("need n >= 1 and k >= 2")
-    total = sum(math.comb(n, j) * math.comb(k - 2, j - 1)
-                for j in range(1, min(n, k - 1) + 1))
+    total = math.comb(n + k - 2, k - 1)
     if total >= 2 ** 63:
         raise ArgumentError(f"required rank for n={n}, k={k} overflows 64 bits")
     return total
@@ -121,16 +119,15 @@ def identify_full(samples: SampleSet, k: int,
 
 def identify_tt(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
-    """Recover the dynamics directly in tensor-train form.
+    """Recover the dynamics in tensor-train form.
 
-    Runs the sequential-SVD decomposition on the recovered k-mode unfolding,
+    The :func:`identify_full` tensor converted to "tt": sequential SVDs
     peeling mode k first, so the factor ordering matches the train-based
     evaluation formula.
     """
-    ak = _recover_unfolding(samples, k, tol)
-    n = samples.X0.shape[0]
-    train = tt_decompose(ak, dims=[n] * k, tol=tol)
-    return HpdsModel(k, n, train)
+    model = identify_full(samples, k, tol)
+    return replace(model, dynamics=FORMATS["tt"].from_dense(model.dynamics,
+                                                            tol))
 
 
 def identify_ht(samples: SampleSet, k: int,

@@ -1,14 +1,39 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
-from hpdstensor.benchmarks import (SCHEMES, gen_instance, memory_report,
-                                   timing_report)
+from hpdstensor.benchmarks import (SCHEMES, _symmetric_dense, gen_instance,
+                                   memory_report, timing_report)
 from hpdstensor.errors import ArgumentError, ScaleError
 from hpdstensor.hier_tucker import htd_param_count, htd_reconstruct
+from hpdstensor.randomness import generator
 from hpdstensor.tensor_train import tt_param_count, tt_reconstruct
 
 
+def symmetric_dense_loop(n, k, seed):
+    """Reference: one draw per multiset, then a loop over every entry."""
+    g = generator(seed)
+    values = {multiset: g.random() * 2.0 - 1.0
+              for multiset in combinations_with_replacement(range(n), k)}
+    tensor = np.zeros((n,) * k)
+    for idx in np.ndindex(*tensor.shape):
+        tensor[idx] = values[tuple(sorted(idx))]
+    return tensor
+
+
 class TestGenInstance:
+    # the symmetric instances the benchmark draws, plus edge sizes
+    @pytest.mark.parametrize("n,k", [(5, 7), (3, 10), (3, 8), (4, 7), (5, 6),
+                                     (8, 4), (3, 9), (5, 3), (7, 3), (1, 4),
+                                     (2, 2), (300, 2)])
+    def test_symmetric_dense_matches_the_loop_bitwise(self, n, k):
+        for seed in (0, 11):
+            want = symmetric_dense_loop(n, k, seed)
+            got = _symmetric_dense(n, k, seed)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_round_trip_decompositions(self, scheme):
         inst = gen_instance(scheme, 2, 5, rank_cap=2, seed=1)

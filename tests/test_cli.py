@@ -194,6 +194,7 @@ def test_usage_errors_exit_1(tmp_path):
     assert run([]) == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_exits_3(tmp_path):
     t = np.zeros((1, 1, 1))
     t[0, 0, 0] = 1.0

@@ -91,6 +91,7 @@ class TestSimulateContinuous:
         for i in range(20):
             assert np.allclose(s.X1[:, i], eval_derivative(model, s.X0[:, i]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup_reports_step(self):
         # dx/dt = x^2 with x0 = 5 blows up quickly under euler
         t = np.zeros((1, 1, 1))

@@ -5,9 +5,10 @@ import pytest
 
 from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
+from hpdstensor.cli import run
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
-from hpdstensor.model import HpdsModel, simulate_continuous, \
+from hpdstensor.model import FORMATS, HpdsModel, simulate_continuous, \
     simulate_discrete
 from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
 
@@ -66,11 +67,11 @@ class TestRepresentationFiles:
         loaded = serialize.ht_from_obj(serialize.read_json_file(str(path)))
         assert np.allclose(htd_reconstruct(loaded), t, atol=1e-12)
 
-    @pytest.mark.parametrize("rep", ["full", "tt", "ht"])
+    @pytest.mark.parametrize("rep", list(FORMATS))
     def test_model_round_trip(self, rep, tmp_path):
         rng = np.random.default_rng(2)
         t = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
-        dyn = {"full": t, "tt": tt_decompose(t), "ht": htd_decompose(t)}[rep]
+        dyn = FORMATS[rep].from_dense(t, None)
         model = HpdsModel(3, 3, dyn, B=rng.standard_normal((3, 2)),
                           C=rng.standard_normal((4, 3)))
         path = tmp_path / "model.json"
@@ -84,6 +85,21 @@ class TestRepresentationFiles:
         from hpdstensor.model import eval_derivative
         assert np.allclose(eval_derivative(loaded, x),
                            eval_derivative(model, x), atol=1e-12)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        obj = serialize.model_to_obj(
+            HpdsModel(3, 2, rng.standard_normal((2, 2, 2))))
+        obj["repr"] = "cp"
+        with pytest.raises(ArgumentError):
+            serialize.model_from_obj(obj)
+        path = tmp_path / "cp.json"
+        serialize.write_json_file(str(path), obj)
+        x0 = tmp_path / "x0.csv"
+        x0.write_text("0.1,0.2\n")
+        assert run(["simulate", "--model", str(path), "--x0", str(x0),
+                    "--tau", "0.1", "--steps", "3",
+                    "--out", str(tmp_path / "t.csv")]) == 1
 
 
 class TestTrajectoryCsv:
