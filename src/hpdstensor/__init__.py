@@ -31,9 +31,8 @@ from .sysid import (IdentifiabilityReport, check_identifiability_autonomous,
                     required_rank)
 from .analysis import (ControllabilityResult, ObservabilityResult,
                        controllability, controllability_full,
-                       controllability_ht, controllability_tt, gradient_sum,
-                       lift_operator, observability, observability_full,
-                       observability_ht, observability_tt)
+                       controllability_ht, controllability_tt, observability,
+                       observability_full, observability_ht, observability_tt)
 from .benchmarks import BenchRecord, gen_instance, memory_report, timing_report
 
 __version__ = "0.1.0"

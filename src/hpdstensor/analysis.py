@@ -1,16 +1,22 @@
 """Controllability and observability analysis in all three representations.
 
-Both analyses are written once against a single contraction: contract modes
-1..k-1 of the dynamics with k-1 arguments, at most one of them an n x c
-matrix.  Each entry of the model's ``FORMATS`` table supplies it
-(:func:`contract_leading`, :func:`tt_contract`, :func:`htd_contract`), so
-the three representations run the same algorithm.
+Both analyses are written once against the two contraction kernels of the
+model's ``FORMATS`` table, so the three representations run the same
+algorithm.  ``contract`` contracts modes 1..k-1 with k-1 arguments, at most
+one of them an n x c matrix; ``sweep`` contracts mode p with an n x c_p
+matrix and lets the caller merge argument indices wherever they meet.
 
-Controllability iterates the reachability span: each round contracts the
-dynamics against selections of k-1 current basis columns, appends the new
-directions, and compresses with a compact SVD.  For even k a full-rank span
-certifies strong controllability; for odd k the same test certifies
-accessibility.
+Controllability iterates the reachability span V = range(U).  The ordered
+span reached in one round is the range of A_(k) (U kron ... kron U), the
+directions A(v_1, ..., v_{k-1}) over every ordered tuple of span vectors.
+One sweep with all k-1 arguments equal to U computes it: wherever two
+argument indices meet, only the row space of the message matters, so a
+reduced QR keeps at most as many rows as the message has columns, as in
+tensor-train rounding (Oseledets, *Tensor-Train Decomposition*, SISC 2011)
+and the hierarchical SVD (Grasedyck, SIMAX 2010).  The round's one rank
+decision is the compact SVD of the current basis and the swept directions.
+For even k a full-rank span certifies strong controllability; for odd k the
+same test certifies accessibility.
 
 Observability stacks the gradients of successive Lie derivatives of the
 output map in one Taylor-mode pass.  With x(t) = sum_i x_i t^i the
@@ -22,7 +28,8 @@ slot at a time (Griewank & Walther, *Evaluating Derivatives*, 2008,
 ch. 13).  :func:`lift_operator` and :func:`gradient_sum` build the same
 blocks as C A_(k) F_2 ... F_j times the Kronecker-power gradient, the
 paper's explicit formula; they are kept as the reference the tests compare
-against and are not used by the analyses.
+against and are not used by the analyses (the benchmark's tracer binds them
+by name in this module).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import ArgumentError, ScaleError, ShapeError
 from .hier_tucker import HTucker
 from .kernels import RankTolerance, compact_svd, numerical_rank
 from .model import FORMATS, format_of
-from .tensor_core import _require_cubical, is_almost_symmetric, kron_power
+from .tensor_core import _require_cubical, kron_power
 from .tensor_train import TensorTrain
 
 __all__ = [
@@ -91,37 +98,21 @@ def _verdict(k: int, rank: int, n: int) -> str:
     return "accessible" if rank == n else "not_accessible"
 
 
-def _reachability(n: int, k: int, b: np.ndarray, candidate_fn,
-                  tol: RankTolerance | None,
-                  use_multisets: bool) -> ControllabilityResult:
-    """Shared reachability iteration with compact-SVD compression.
+def _row_space(met: np.ndarray) -> np.ndarray:
+    """Sweep merge that keeps the row space of the (a1, a2, m) message: the
+    R factor of a reduced QR when a1 a2 > m rows would exceed the columns,
+    the a1 a2 rows themselves otherwise.  It decides no rank."""
+    a1, a2, m = met.shape
+    rows = met.reshape(a1 * a2, m)
+    return np.linalg.qr(rows, mode="r") if a1 * a2 > m else rows
 
-    ``candidate_fn(columns)`` maps a length k-1 column selection to the
-    contracted direction(s).  Stops at full rank, at rank stagnation (the
-    candidates depend on the span only, so a stalled rank is a fixed
-    point), or after n rounds.
-    """
-    basis = compact_svd(b, tol).U
-    rank = basis.shape[1]
-    iterations = 0
-    while rank < n and iterations < n:
-        cols = [basis[:, j] for j in range(rank)]
-        if use_multisets:
-            selections = itertools.combinations_with_replacement(cols, k - 1)
-        else:
-            selections = itertools.product(cols, repeat=k - 1)
-        new_cols = [candidate_fn(sel) for sel in selections]
-        iterations += 1
-        if not new_cols:
-            break
-        stacked = np.column_stack([basis] + new_cols) if rank else \
-            np.column_stack(new_cols)
-        svd = compact_svd(stacked, tol)
-        basis = svd.U
-        if svd.rank == rank:
-            break
-        rank = svd.rank
-    return ControllabilityResult(basis, rank, _verdict(k, rank, n), iterations)
+
+def _format(dynamics):
+    """(format, cast dynamics, n, k) for dynamics in any model format."""
+    fmt = FORMATS[format_of(dynamics)]
+    dynamics = fmt.cast(dynamics)
+    n, k = _require_cubical(fmt.dims(dynamics))
+    return fmt, dynamics, n, k
 
 
 def _contraction(dynamics):
@@ -131,9 +122,7 @@ def _contraction(dynamics):
     one an n x c matrix; its result reshaped to n rows is the n x c matrix
     (or n x 1 column) with rows indexed by mode k.
     """
-    fmt = FORMATS[format_of(dynamics)]
-    dynamics = fmt.cast(dynamics)
-    n, k = _require_cubical(fmt.dims(dynamics))
+    fmt, dynamics, n, k = _format(dynamics)
     return n, k, partial(fmt.contract, dynamics)
 
 
@@ -141,19 +130,29 @@ def controllability(dynamics, b: np.ndarray,
                     tol: RankTolerance | None = None) -> ControllabilityResult:
     """Reachability span of the dynamics with control matrix B.
 
-    Candidate directions are A v_1 ... v_{k-1} over selections of current
-    basis columns: multisets for a train, a tree, or an almost symmetric
-    dense tensor (ordered selections would duplicate columns), full tuples
-    for any other dense tensor.
+    Each round sweeps the dynamics once with every argument equal to the
+    current basis U, which gives columns spanning the ordered span
+    range(A_(k) (U kron ... kron U)), and compresses the basis and those
+    columns with one compact SVD.  Stops at rank 0 or n, at rank
+    stagnation (the new directions depend on the span only, so a stalled
+    rank is a fixed point), or after n rounds.
     """
-    n, k, contract = _contraction(dynamics)
+    fmt, dynamics, n, k = _format(dynamics)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if b.shape[0] != n:
         raise ShapeError(f"B must have {n} rows, got {b.shape}")
-    multisets = (format_of(dynamics) != "full"
-                 or is_almost_symmetric(dynamics, 1e-9))
-    return _reachability(n, k, b, lambda sel: contract(sel).ravel(), tol,
-                         multisets)
+    basis = compact_svd(b, tol).U
+    rank = basis.shape[1]
+    iterations = 0
+    while 0 < rank < n and iterations < n:
+        reached = fmt.sweep(dynamics, [basis] * (k - 1), _row_space)
+        iterations += 1
+        svd = compact_svd(np.column_stack([basis, reached]), tol)
+        basis = svd.U
+        if svd.rank == rank:
+            break
+        rank = svd.rank
+    return ControllabilityResult(basis, rank, _verdict(k, rank, n), iterations)
 
 
 def controllability_full(tensor: np.ndarray, b: np.ndarray,

@@ -24,11 +24,12 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedError
 from .kernels import RankTolerance, compact_svd
-from .tensor_core import _as_columns, _require_cubical
+from .tensor_core import _as_columns, _require_cubical, _sweep_matrices
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
-    "htd_reconstruct", "htd_eval_hpds", "htd_contract", "htd_param_count",
+    "htd_reconstruct", "htd_eval_hpds", "htd_contract", "htd_sweep",
+    "htd_param_count",
 ]
 
 
@@ -286,6 +287,38 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
     if arg_mode is None or order.index(arg_mode) < order.index(k):
         return vec.reshape(cols, n, order="F").T
     return vec.reshape(n, cols, order="F")
+
+
+def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
+    """Contract modes 1..k-1 with n x c_p matrices, merging as they meet.
+
+    Each node's message is an (a, t, r) array over an argument index, mode
+    k's index (t = n on the path from leaf k to the root, else 1) and the
+    node's rank.  Leaf p < k starts from mats[p-1]^T U_p, leaf k from U_k
+    with a = 1.  At an internal node the children's messages meet through
+    the transfer matrix as an (a_left, a_right, t * r) array, which
+    ``merge`` maps to the (a', t * r) array passed up.  Returns the n x a'
+    matrix with rows indexed by mode k.
+    """
+    n, k = _require_cubical(h.dims)
+    mats = _sweep_matrices(mats, n, k)
+
+    def message(node: TreeNode) -> np.ndarray:
+        if node.is_leaf:
+            p = node.modes[0]
+            u = np.asarray(h.leaf_factors[p], dtype=float)
+            return u[None] if p == k else (mats[p - 1].T @ u)[:, None, :]
+        left, right = message(node.left), message(node.right)
+        g = np.asarray(h.transfer[node.modes], dtype=float)
+        g3 = g.reshape(left.shape[2], right.shape[2], -1, order="F")
+        half = np.tensordot(left, g3, axes=(2, 0))           # (a, x, r, q)
+        met = np.tensordot(right, half, axes=(2, 2))         # (b, y, a, x, q)
+        met = met.transpose(2, 0, 3, 1, 4)                   # (a, b, x, y, q)
+        t = left.shape[1] * right.shape[1]
+        merged = merge(met.reshape(left.shape[0], right.shape[0], -1))
+        return merged.reshape(merged.shape[0], t, -1)
+
+    return message(h.tree.root)[:, :, 0].T
 
 
 def htd_eval_hpds(h: HTucker, x: np.ndarray) -> np.ndarray:

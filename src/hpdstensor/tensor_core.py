@@ -206,6 +206,31 @@ def contract_leading(tensor: np.ndarray, args) -> np.ndarray:
     return out
 
 
+def _sweep_matrices(mats, n: int, k: int) -> list[np.ndarray]:
+    """The k-1 sweep arguments as n x c_p matrices."""
+    mats = [_as_columns(mat, n) for mat in mats]
+    if len(mats) != k - 1:
+        raise ArgumentError(f"expected {k - 1} matrices, got {len(mats)}")
+    return mats
+
+
+def sweep_leading(tensor: np.ndarray, mats, merge) -> np.ndarray:
+    """Contract modes 1..k-1 with n x c_p matrices, merging as they meet.
+
+    The running message is an (a, rest) array over an argument index and
+    the modes not yet contracted, starting from a = 1.  Contracting mode p
+    with ``mats[p - 1]`` gives an (a, c_p, rest') array, which ``merge``
+    maps to the (a', rest') array the sweep continues with.  Returns the
+    n x a' matrix with rows indexed by mode k.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    n, k = _require_cubical(tensor.shape)
+    msg = tensor.reshape(1, -1)
+    for mat in _sweep_matrices(mats, n, k):
+        msg = merge(mat.T @ msg.reshape(msg.shape[0], n, -1))
+    return msg.T
+
+
 def almost_symmetrize(tensor: np.ndarray) -> np.ndarray:
     """Average a cubical tensor over all permutations of its first k-1 modes.
 

@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError, UnsupportedError
 from .kernels import RankTolerance, compact_svd
-from .tensor_core import _as_columns, _require_cubical, unfold
+from .tensor_core import (_as_columns, _require_cubical, _sweep_matrices,
+                          unfold)
 
 __all__ = [
     "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_eval_hpds",
-    "tt_contract", "tt_param_count", "tt_zero",
+    "tt_contract", "tt_sweep", "tt_param_count", "tt_zero",
 ]
 
 
@@ -158,6 +159,22 @@ def tt_contract(train: TensorTrain, args) -> np.ndarray:
         acc = np.einsum("ar,rcs->acs", acc, contracted)
         acc = acc.reshape(-1, acc.shape[2])
     return (acc @ train.cores[-1][:, :, 0]).T
+
+
+def tt_sweep(train: TensorTrain, mats, merge) -> np.ndarray:
+    """Contract modes 1..k-1 with n x c_p matrices, merging as they meet.
+
+    The running message is an (a, r_p) array over an argument index and the
+    chain rank, starting from (1, 1).  Core p contracted with
+    ``mats[p - 1]`` extends it to an (a, c_p, r_p) array, which ``merge``
+    maps to the (a', r_p) array the sweep continues with.  The last core
+    closes the chain: returns the n x a' matrix with rows indexed by mode k.
+    """
+    n, k = _require_cubical(train.dims)
+    msg = np.ones((1, 1))
+    for core, mat in zip(train.cores[:-1], _sweep_matrices(mats, n, k)):
+        msg = merge(mat.T @ np.tensordot(msg, core, axes=(1, 0)))
+    return (msg @ train.cores[-1][:, :, 0]).T
 
 
 def tt_param_count(train: TensorTrain) -> int:

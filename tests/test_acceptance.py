@@ -389,13 +389,16 @@ def test_criterion_09_memory_trends():
 
 
 def test_criterion_10_timing_trend():
-    records = timing_report([5], [6], schemes=("low_tt",), m=5, rank_cap=2,
+    # one input column, so reachability runs rounds (here rank 1 -> 5) and
+    # each round's pass over the 7^7 dense tensor dominates the full time;
+    # with B of full rank no round runs and only set-up would be compared
+    records = timing_report([7], [7], schemes=("low_tt",), m=1, rank_cap=4,
                             seed=100, repeats=3)
     times = {r.repr: r.elapsed_ms for r in records}
     ranks = {r.rank for r in records}
     ok = len(ranks) == 1 and times["tt"] < times["full"]
     assert verdict(10, f"timing: tt {times['tt']:.3f} ms < full "
-                       f"{times['full']:.3f} ms on low_tt n=5 k=6, "
+                       f"{times['full']:.3f} ms on low_tt n=7 k=7 m=1, "
                        "equal ranks", ok)
 
 

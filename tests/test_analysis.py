@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import numpy as np
@@ -5,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpdstensor import analysis, model
 from hpdstensor import tensor_core as tc
-from hpdstensor.analysis import (_contraction, _lie_gradients,
+from hpdstensor.analysis import (_contraction, _lie_gradients, _row_space,
                                  controllability_full, controllability_ht,
                                  controllability_tt, gradient_sum,
                                  lift_operator, observability_at_probes,
                                  observability_full, observability_ht,
                                  observability_tt)
-from hpdstensor.benchmarks import gen_instance
+from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ScaleError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
-from hpdstensor.kernels import compact_svd, numerical_rank, subspace_equal
-from hpdstensor.tensor_train import tt_decompose
+from hpdstensor.kernels import (RankTolerance, compact_svd, numerical_rank,
+                                subspace_equal)
+from hpdstensor.model import FORMATS
+from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
 
 
 def linear_tensor(a_matrix):
@@ -167,6 +171,117 @@ class TestControllabilityDecomposed:
                     controllability_ht(htd_decompose(linear_tensor(a)), b)):
             assert res.rank == kal.shape[1]
             assert subspace_equal(res.basis, kal, 1e-9)
+
+
+def ordered_span(dynamics, basis):
+    """A(v_1, ..., v_{k-1}) over every ordered tuple of basis columns, one
+    contraction each: the definition the reachability sweep is checked
+    against."""
+    n, k, contract = _contraction(dynamics)
+    cols = [basis[:, j] for j in range(basis.shape[1])]
+    return np.column_stack([contract(sel).ravel()
+                            for sel in itertools.product(cols, repeat=k - 1)])
+
+
+def range_basis(matrix):
+    return compact_svd(matrix, RankTolerance("relative", 1e-9)).U
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts the sweeps of every format, as the table looks them up."""
+    calls = []
+    for name in ("sweep_leading", "tt_sweep", "htd_sweep"):
+        kernel = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *a, kernel=kernel:
+                            calls.append(1) or kernel(*a))
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.integers(2, 4), cols=st.integers(1, 3),
+       scheme=st.sampled_from(["generic", "symmetric", "low_rank"]),
+       seed=st.integers(0, 2 ** 16))
+def test_sweep_range_is_ordered_span(k, n, cols, scheme, seed):
+    rng = np.random.default_rng(seed)
+    if scheme == "low_rank":
+        tensor = tt_reconstruct(_random_tt(n, k, 1 + seed % 2, seed))
+    else:
+        tensor = rng.standard_normal((n,) * k)
+    if scheme == "symmetric":
+        tensor = tc.almost_symmetrize(tensor)
+    basis = np.linalg.qr(rng.standard_normal((n, min(cols, n))))[0]
+    expected = range_basis(ordered_span(tensor, basis))
+    for name, dyn in representations(tensor).items():
+        swept = FORMATS[name].sweep(dyn, [basis] * (k - 1), _row_space)
+        assert swept.shape[0] == n and swept.shape[1] <= n
+        assert subspace_equal(range_basis(swept), expected, 1e-7), name
+
+
+class TestReachabilitySweep:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_keeping_every_row_gives_the_kronecker_contraction(self, k):
+        # merge = reshape: column (j_1, ..., j_{k-1}) of the result, mode 1
+        # slowest, is A(u_1[:, j_1], ..., u_{k-1}[:, j_{k-1}])
+        rng = np.random.default_rng(30 + k)
+        tensor = rng.standard_normal((3,) * k)
+        mats = [rng.standard_normal((3, p + 1)) for p in range(k - 1)]
+        expected = np.column_stack([
+            tc.contract_leading(tensor, [m[:, j] for m, j in zip(mats, js)])
+            for js in itertools.product(*(range(m.shape[1]) for m in mats))])
+        keep = lambda met: met.reshape(-1, met.shape[2])  # noqa: E731
+        for name, dyn in representations(tensor).items():
+            assert np.allclose(FORMATS[name].sweep(dyn, mats, keep), expected)
+
+    def test_wrong_argument_count_rejected(self):
+        t = np.random.default_rng(36).standard_normal((3, 3, 3))
+        for name, dyn in representations(t).items():
+            with pytest.raises(ArgumentError):
+                FORMATS[name].sweep(dyn, [np.eye(3)], _row_space)
+
+    def test_row_space_merge_keeps_the_row_space(self):
+        met = np.random.default_rng(31).standard_normal((3, 4, 5))
+        merged = _row_space(met)
+        assert merged.shape == (5, 5)
+        assert subspace_equal(range_basis(merged.T),
+                              range_basis(met.reshape(12, 5).T))
+        assert np.array_equal(_row_space(met[:1]), met[:1].reshape(4, 5))
+
+    def test_zero_b_exits_before_sweeping(self, sweep_calls):
+        t = tc.almost_symmetrize(np.random.default_rng(32).standard_normal(
+            (3, 3, 3)))
+        for dyn in representations(t).values():
+            res = analysis.controllability(dyn, np.zeros((3, 2)))
+            assert (res.rank, res.iterations) == (0, 0)
+            assert res.basis.shape == (3, 0)
+        assert sweep_calls == []
+
+    def test_full_rank_b_makes_no_round(self, sweep_calls):
+        t = np.random.default_rng(33).standard_normal((3, 3, 3, 3))
+        for dyn in representations(t).values():
+            res = analysis.controllability(dyn, np.eye(3)[:, ::-1])
+            assert (res.rank, res.iterations) == (3, 0)
+        assert sweep_calls == []
+
+    def test_one_sweep_and_one_svd_per_round(self, sweep_calls, monkeypatch):
+        svds = []
+        monkeypatch.setattr(analysis, "compact_svd",
+                            lambda *a: svds.append(1) or compact_svd(*a))
+        inst = gen_instance("low_tt", 6, 4, rank_cap=2, seed=3)
+        b = np.random.default_rng(34).standard_normal((6, 1))
+        for dyn in inst.forms().values():
+            del sweep_calls[:], svds[:]
+            res = analysis.controllability(dyn, b)
+            assert res.iterations >= 2
+            assert len(sweep_calls) == res.iterations
+            assert len(svds) == res.iterations + 1
+
+    def test_random_train_at_scale_reaches_full_rank(self):
+        train = _random_tt(16, 10, 16, seed=35)
+        b = np.random.default_rng(35).standard_normal((16, 1))
+        res = controllability_tt(train, b)
+        assert res.rank == 16 and res.verdict == "strongly_controllable"
 
 
 class TestGradientSum:

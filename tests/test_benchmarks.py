@@ -1,8 +1,10 @@
+import types
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+from hpdstensor import benchmarks
 from hpdstensor.benchmarks import (SCHEMES, _symmetric_dense, gen_instance,
                                    memory_report, timing_report)
 from hpdstensor.errors import ArgumentError, ScaleError
@@ -106,21 +108,37 @@ class TestTimingReport:
         assert all(r.elapsed_ms >= 0 for r in recs)
 
     def test_low_tt_faster_than_full_at_desk_scale(self):
-        recs = timing_report([5], [6], schemes=("low_tt",), m=5, rank_cap=2,
+        # one input column, so the rounds' dense passes are what is timed
+        recs = timing_report([7], [7], schemes=("low_tt",), m=1, rank_cap=4,
                              seed=0, repeats=3)
         time_of = {r.repr: r.elapsed_ms for r in recs}
+        assert {r.rank for r in recs} == {5}
         assert time_of["tt"] < time_of["full"]
 
-    def test_median_stability_between_repeat_counts(self):
-        one = timing_report([4], [5], schemes=("low_tt",), m=3, seed=1,
-                            repeats=1)
-        five = timing_report([4], [5], schemes=("low_tt",), m=3, seed=1,
-                             repeats=5)
-        t1 = {r.repr: r.elapsed_ms for r in one}
-        t5 = {r.repr: r.elapsed_ms for r in five}
-        for name in t1:
-            assert abs(t1[name] - t5[name]) <= 0.5 * max(t1[name], t5[name]) \
-                or max(t1[name], t5[name]) < 1.0  # sub-ms noise floor
+    def test_median_stability_between_repeat_counts(self, monkeypatch):
+        # a scripted clock: each controllability call takes the next
+        # duration, in units of 1/1024 s so every elapsed_ms is exact
+        def report(durations, repeats):
+            steps = [step for d in durations for step in (d, 0)][:-1]
+            ticks = iter(np.cumsum([0] + steps) / 1024)
+            clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+            monkeypatch.setattr(benchmarks, "time", clock)
+            recs = timing_report([4], [5], schemes=("low_tt",), m=3, seed=1,
+                                 repeats=repeats)
+            assert next(ticks, None) is None  # every call was timed
+            return recs
+
+        ms = 1000 / 1024
+        one = report([4, 1, 2], repeats=1)
+        # an outlier per representation must not move the median
+        five = report([4, 40, 3, 4, 5, 1, 1, 9, 0, 2, 2, 2, 30, 1, 3],
+                      repeats=5)
+        assert [r.repr for r in one] == [r.repr for r in five] \
+            == ["full", "tt", "ht"]
+        assert [r.elapsed_ms for r in one] == [4 * ms, 1 * ms, 2 * ms]
+        assert [r.elapsed_ms for r in five] == [4 * ms, 1 * ms, 2 * ms]
+        assert [(r.rank, r.params) for r in one] == \
+            [(r.rank, r.params) for r in five]
 
     def test_bad_repeats(self):
         with pytest.raises(ArgumentError):
