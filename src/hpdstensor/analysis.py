@@ -1,10 +1,9 @@
 """Controllability and observability analysis in all three representations.
 
-Both analyses are written once against the two contraction kernels of the
-model's ``FORMATS`` table, so the three representations run the same
-algorithm.  ``contract`` contracts modes 1..k-1 with k-1 arguments, at most
-one of them an n x c matrix; ``sweep`` contracts mode p with an n x c_p
-matrix and lets the caller merge argument indices wherever they meet.
+Both analyses are written once against the one contraction kernel of the
+model's ``FORMATS`` table, ``sweep``: it contracts mode p with an n x c_p
+matrix and lets the caller merge argument indices wherever they meet.  The
+two analyses differ only in their merge.
 
 Controllability iterates the reachability span V = range(U).  The ordered
 span reached in one round is the range of A_(k) (U kron ... kron U), the
@@ -22,9 +21,11 @@ Observability stacks the gradients of successive Lie derivatives of the
 output map in one Taylor-mode pass.  With x(t) = sum_i x_i t^i the
 trajectory from x_0, the j-th Lie derivative of y = C x is j! C x_j, so
 row block j is j! C J_j with J_j = dx_j/dx_0.  The coefficients obey
-(i+1) x_{i+1} = sum A(x_{i_1}, ..., x_{i_{k-1}}) over the compositions
-i_1 + ... + i_{k-1} = i, and J_{i+1} follows by putting J_{i_s} into one
-slot at a time (Griewank & Walther, *Evaluating Derivatives*, 2008,
+(i+1) x_{i+1} = [t^i] A(x(t), ..., x(t)), and J_{i+1} is its derivative in
+x_0.  One sweep per degree i computes both: every argument is the series
+(x_d, J_d), d <= i, and wherever two arguments meet the merge multiplies
+them as truncated series, a Cauchy product for the values and the product
+rule for the tangents (Griewank & Walther, *Evaluating Derivatives*, 2008,
 ch. 13).  :func:`lift_operator` and :func:`gradient_sum` build the same
 blocks as C A_(k) F_2 ... F_j times the Kronecker-power gradient, the
 paper's explicit formula; they are kept as the reference the tests compare
@@ -34,10 +35,8 @@ by name in this module).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -113,17 +112,6 @@ def _format(dynamics):
     dynamics = fmt.cast(dynamics)
     n, k = _require_cubical(fmt.dims(dynamics))
     return fmt, dynamics, n, k
-
-
-def _contraction(dynamics):
-    """(n, k, contract) for dynamics held in any of the model ``FORMATS``.
-
-    ``contract(args)`` contracts modes 1..k-1 with k-1 arguments, at most
-    one an n x c matrix; its result reshaped to n rows is the n x c matrix
-    (or n x 1 column) with rows indexed by mode k.
-    """
-    fmt, dynamics, n, k = _format(dynamics)
-    return n, k, partial(fmt.contract, dynamics)
 
 
 def controllability(dynamics, b: np.ndarray,
@@ -218,32 +206,48 @@ def lift_operator(a_k: np.ndarray, j: int, k: int) -> np.ndarray:
     return total
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of ``parts`` nonnegative integers summing to ``total``."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        edges = (-1,) + bars + (total + parts - 1,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+def _taylor_merge(degree: int, n: int):
+    """Sweep merge that multiplies two truncated Taylor series with tangents.
+
+    An argument index is (d, e), e fastest: degree d = 0..``degree``, and
+    part e = 0 for the value x_d or e = 1..n for column e of its tangent
+    J_d.  Values combine as the Cauchy product truncated at ``degree``,
+    tangents by the product rule; a side of size 1 is the unit series.
+    """
+    parts = n + 1
+
+    def merge(met: np.ndarray) -> np.ndarray:
+        a1, a2, m = met.shape
+        if a1 == 1 or a2 == 1:
+            return met.reshape(a1 * a2, m)
+        # explicit sizes: a -1 is ambiguous once m is 0
+        met = met.reshape(degree + 1, parts, degree + 1, parts, m)
+        out = np.zeros((degree + 1, parts, m))
+        for d in range(degree + 1):
+            # left degree d meets right degree b <= degree - d: (e, b, e, m)
+            pairs = met[d, :, :degree + 1 - d]
+            out[d:] += pairs[0]                              # value x any
+            out[d:, 1:] += pairs[1:, :, 0].swapaxes(0, 1)    # tangent x value
+        return out.reshape((degree + 1) * parts, m)
+
+    return merge
 
 
-def _lie_gradients(n: int, k: int, contract, c: np.ndarray, x: np.ndarray,
+def _lie_gradients(fmt, dynamics, k: int, c: np.ndarray, x: np.ndarray,
                    depth: int) -> list[np.ndarray]:
-    """Row blocks C, 1! C J_1, ..., depth! C J_depth with J_j = dx_j/dx_0."""
-    coeffs = [x]            # Taylor coefficients x_i
-    tangents = [np.eye(n)]  # J_i
+    """Row blocks C, 1! C J_1, ..., depth! C J_depth with J_j = dx_j/dx_0.
+
+    Sweep i passes the series (x_d, J_d), d <= i, as every argument; the
+    degree-i columns of its result are (i+1) (x_{i+1}, J_{i+1}).
+    """
+    n = x.shape[0]
+    series = np.column_stack([x, np.eye(n)])
     blocks = [c]
     for i in range(depth):
-        coeff = np.zeros(n)
-        tangent = np.zeros((n, n))
-        for parts in _compositions(i, k - 1):
-            args = [coeffs[p] for p in parts]
-            if i + 1 < depth:  # no later step reads x_depth
-                coeff += contract(args).ravel()
-            for s, p in enumerate(parts):
-                slot = args[:s] + [tangents[p]] + args[s + 1:]
-                tangent += contract(slot).reshape(n, n)
-        coeffs.append(coeff / (i + 1))
-        tangents.append(tangent / (i + 1))
-        blocks.append(math.factorial(i + 1) * (c @ tangents[-1]))
+        swept = fmt.sweep(dynamics, [series] * (k - 1), _taylor_merge(i, n))
+        step = swept[:, i * (n + 1):] / (i + 1)
+        series = np.column_stack([series, step])
+        blocks.append(math.factorial(i + 1) * (c @ step[:, 1:]))
     return blocks
 
 
@@ -254,10 +258,10 @@ def observability(dynamics, c: np.ndarray, x: np.ndarray,
 
     Row block 0 is C and row block j is the gradient of the j-th Lie
     derivative of y = C x, evaluated as j! C dx_j/dx_0 from the Taylor
-    coefficients x_j of the trajectory through x.  ``depth`` defaults to
-    n-1 in every representation.
+    coefficients x_j of the trajectory through x, one sweep per degree.
+    ``depth`` defaults to n-1 in every representation.
     """
-    n, k, contract = _contraction(dynamics)
+    fmt, dynamics, n, k = _format(dynamics)
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape[1] != n:
         raise ShapeError(f"C must have {n} columns, got {c.shape}")
@@ -269,7 +273,7 @@ def observability(dynamics, c: np.ndarray, x: np.ndarray,
     if depth < 0 or depth > n - 1:
         raise ArgumentError(f"depth must be in 0..{n - 1}, got {depth}")
     rank = numerical_rank(
-        np.vstack(_lie_gradients(n, k, contract, c, x, depth)), tol)
+        np.vstack(_lie_gradients(fmt, dynamics, k, c, x, depth)), tol)
     return ObservabilityResult(rank, n, rank == n, [x], depth)
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, UnsupportedError
+from .errors import ArgumentError, ShapeError
 from .kernels import RankTolerance, compact_svd
-from .tensor_core import _as_columns, _require_cubical, _sweep_matrices
+from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
@@ -258,37 +258,6 @@ def htd_reconstruct(h: HTucker) -> np.ndarray:
     return np.transpose(shaped, np.argsort([p - 1 for p in order]))
 
 
-def htd_contract(h: HTucker, args) -> np.ndarray:
-    """Contract modes 1..k-1 against vectors, at most one being a matrix.
-
-    Leaf p's factor is replaced by args[p]^T U_p and the substituted values
-    propagate up the tree through the transfer matrices; leaf k keeps its
-    full factor.  Returns the n x (prod c_p) matrix with rows indexed by
-    mode k, matching the dense A_(k) Kronecker contraction.
-    """
-    n, k = _require_cubical(h.dims)
-    args = list(args)
-    if len(args) != k - 1:
-        raise ArgumentError(f"expected {k - 1} arguments, got {len(args)}")
-    mats = [_as_columns(a, n) for a in args]
-    wide = [(p, m.shape[1]) for p, m in enumerate(mats, start=1)
-            if m.shape[1] > 1]
-    if len(wide) > 1:
-        raise UnsupportedError("at most one matrix argument is supported")
-    arg_mode, cols = wide[0] if wide else (None, 1)
-
-    leaf_values = {p: mats[p - 1].T @ np.asarray(h.leaf_factors[p], dtype=float)
-                   for p in range(1, k)}
-    leaf_values[k] = np.asarray(h.leaf_factors[k], dtype=float)
-    vec = _node_value(h, h.tree.root, leaf_values)
-    # the root vector psi-merges the per-leaf row indices in tree order;
-    # only the matrix argument's columns and the output mode k are nontrivial
-    order = h.tree.root.ordered_modes()
-    if arg_mode is None or order.index(arg_mode) < order.index(k):
-        return vec.reshape(cols, n, order="F").T
-    return vec.reshape(n, cols, order="F")
-
-
 def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
     """Contract modes 1..k-1 with n x c_p matrices, merging as they meet.
 
@@ -310,24 +279,44 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
             return u[None] if p == k else (mats[p - 1].T @ u)[:, None, :]
         left, right = message(node.left), message(node.right)
         g = np.asarray(h.transfer[node.modes], dtype=float)
-        g3 = g.reshape(left.shape[2], right.shape[2], -1, order="F")
+        # explicit sizes: a -1 is ambiguous once a rank is 0
+        q, t = g.shape[1], left.shape[1] * right.shape[1]
+        g3 = g.reshape(left.shape[2], right.shape[2], q, order="F")
         half = np.tensordot(left, g3, axes=(2, 0))           # (a, x, r, q)
         met = np.tensordot(right, half, axes=(2, 2))         # (b, y, a, x, q)
         met = met.transpose(2, 0, 3, 1, 4)                   # (a, b, x, y, q)
-        t = left.shape[1] * right.shape[1]
-        merged = merge(met.reshape(left.shape[0], right.shape[0], -1))
-        return merged.reshape(merged.shape[0], t, -1)
+        merged = merge(met.reshape(left.shape[0], right.shape[0], t * q))
+        return merged.reshape(merged.shape[0], t, q)
 
     return message(h.tree.root)[:, :, 0].T
 
 
+def htd_contract(h: HTucker, args) -> np.ndarray:
+    """Contract modes 1..k-1 with k-1 n-vectors or n x c_p matrices.
+
+    Returns the n x (prod c_p) matrix with rows indexed by mode k, one
+    :func:`htd_sweep` that keeps every row.  Its columns are psi-merged
+    over the argument modes in tree order, which on the canonical tree of
+    :func:`build_tree` is mode order, as :func:`contract_leading` has it.
+    """
+    return htd_sweep(h, args, _keep_every_row)
+
+
 def htd_eval_hpds(h: HTucker, x: np.ndarray) -> np.ndarray:
-    """Evaluate A_(k) x^[k-1] directly on the tree representation."""
+    """Evaluate A_(k) x^[k-1] directly on the tree representation.
+
+    Leaf p < k's factor is replaced by x^T U_p and the substituted values
+    propagate up the tree through the transfer matrices; leaf k keeps its
+    full factor, so the root value is the n-vector indexed by mode k.
+    """
     n, k = _require_cubical(h.dims)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    return htd_contract(h, [x] * (k - 1)).ravel()
+    leaf_values = {p: x[None, :] @ np.asarray(h.leaf_factors[p], dtype=float)
+                   for p in range(1, k)}
+    leaf_values[k] = np.asarray(h.leaf_factors[k], dtype=float)
+    return _node_value(h, h.tree.root, leaf_values).ravel()
 
 
 def htd_param_count(h: HTucker) -> int:

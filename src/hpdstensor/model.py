@@ -3,7 +3,7 @@
 A model is ``dx/dt = A x^{k-1} + B u`` with outputs ``y = C x``; the dynamic
 tensor A may live in full, tensor-train, or hierarchical Tucker form.
 :data:`FORMATS` is the one place that knows the three forms: per format name
-it gives the dims, the two contraction kernels, evaluator, parameter count,
+it gives the dims, the contraction kernel, evaluator, parameter count,
 maximal rank and conversion from a dense tensor, and :func:`format_of` names
 the format of a dynamics object.  Sampled trajectories are held in
 :class:`SampleSet` matrices matching the data layout used by the
@@ -18,14 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, DivergenceError, ShapeError
-from .hier_tucker import (HTucker, htd_contract, htd_decompose, htd_eval_hpds,
+from .hier_tucker import (HTucker, htd_decompose, htd_eval_hpds,
                           htd_param_count, htd_sweep)
 from .kernels import numerical_rank
 from .randomness import gaussian
-from .tensor_core import (contract_leading, hpds_eval_full, sweep_leading,
-                          unfold)
-from .tensor_train import (TensorTrain, tt_contract, tt_decompose,
-                           tt_eval_hpds, tt_param_count, tt_sweep)
+from .tensor_core import hpds_eval_full, sweep_leading, unfold
+from .tensor_train import (TensorTrain, tt_decompose, tt_eval_hpds,
+                           tt_param_count, tt_sweep)
 
 __all__ = ["Format", "FORMATS", "format_of", "HpdsModel", "SampleSet",
            "eval_derivative", "simulate_continuous", "simulate_discrete",
@@ -36,15 +35,14 @@ __all__ = ["Format", "FORMATS", "format_of", "HpdsModel", "SampleSet",
 class Format:
     """What the package needs to know of one representation of A.
 
-    ``cast(dynamics)`` is the dynamics as a model stores them, ``dims`` their
-    mode sizes, ``contract(dynamics, args)`` contracts modes 1..k-1 with k-1
-    arguments (at most one an n x c matrix) into the n x c result with rows
-    indexed by mode k, and ``sweep(dynamics, mats, merge)`` contracts each
-    mode p = 1..k-1 with the n x c_p matrix ``mats[p - 1]``, calling
-    ``merge`` on the (a1, a2, m) array wherever two argument indices meet
-    (the running message and mode p's columns, or two children of a tree
-    node) and going on with the (a', m) array it returns; it gives the
-    n x a' matrix with rows indexed by mode k.  ``evaluate(dynamics, x)`` is
+    ``cast(dynamics)`` is the dynamics as a model stores them and ``dims``
+    their mode sizes.  ``sweep(dynamics, mats, merge)`` is the one
+    contraction kernel: it contracts each mode p = 1..k-1 with the n x c_p
+    matrix ``mats[p - 1]``, calling ``merge`` on the (a1, a2, m) array
+    wherever two argument indices meet (the running message and mode p's
+    columns, or two children of a tree node) and going on with the (a', m)
+    array it returns; it gives the n x a' matrix with rows indexed by mode
+    k.  ``evaluate(dynamics, x)`` is
     A x^[k-1], ``param_count`` the number of stored entries, ``max_rank`` the
     largest rank of the format (the k-mode unfolding rank of a dense
     tensor), and ``from_dense(tensor, tol)`` builds the format from a dense
@@ -53,7 +51,6 @@ class Format:
 
     cast: Callable
     dims: Callable
-    contract: Callable
     sweep: Callable
     evaluate: Callable
     param_count: Callable
@@ -61,27 +58,24 @@ class Format:
     from_dense: Callable
 
 
-# contract, sweep and from_dense look the kernels up at call time, so a
-# wrapper rebound on this module (as a tracer installs) sees calls made via
-# the table.
+# sweep and from_dense look the kernels up at call time, so a wrapper
+# rebound on this module (as a tracer installs) sees calls made via the
+# table.
 FORMATS = {
     "full": Format(
         cast=lambda t: np.asarray(t, dtype=float), dims=np.shape,
-        contract=lambda t, args: contract_leading(t, args),
         sweep=lambda t, mats, merge: sweep_leading(t, mats, merge),
         evaluate=hpds_eval_full, param_count=np.size,
         max_rank=lambda t: numerical_rank(unfold(t, {t.ndim})),
         from_dense=lambda t, tol: np.asarray(t, dtype=float)),
     "tt": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
-        contract=lambda d, args: tt_contract(d, args),
         sweep=lambda d, mats, merge: tt_sweep(d, mats, merge),
         evaluate=tt_eval_hpds, param_count=tt_param_count,
         max_rank=lambda d: max(d.ranks),
         from_dense=lambda t, tol: tt_decompose(t, tol=tol)),
     "ht": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
-        contract=lambda d, args: htd_contract(d, args),
         sweep=lambda d, mats, merge: htd_sweep(d, mats, merge),
         evaluate=htd_eval_hpds, param_count=htd_param_count,
         max_rank=lambda d: d.max_rank(),

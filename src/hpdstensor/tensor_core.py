@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, UnsupportedError
+from .errors import ArgumentError, ShapeError
 
 
 def psi_index(indices, dims) -> int:
@@ -184,28 +184,6 @@ def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def contract_leading(tensor: np.ndarray, args) -> np.ndarray:
-    """Contract modes 1..len(args) of ``tensor``, at most one arg a matrix.
-
-    Vectors (or n x 1 columns) remove their mode.  An n x c matrix with
-    c > 1 replaces its mode by a column index placed last, so contracting
-    modes 1..k-1 of an order-k tensor gives an n-vector, or the n x c
-    matrix with rows indexed by mode k, as :func:`tt_contract` does.
-    """
-    out = np.asarray(tensor, dtype=float)
-    wide = False
-    for arg in args:
-        arg = _as_columns(arg, out.shape[0] if out.ndim else 0)
-        if arg.shape[1] == 1:
-            out = np.tensordot(arg[:, 0], out, axes=(0, 0))
-            continue
-        if wide:
-            raise UnsupportedError("at most one matrix argument is supported")
-        wide = True
-        out = np.moveaxis(np.tensordot(arg, out, axes=(0, 0)), 0, -1)
-    return out
-
-
 def _sweep_matrices(mats, n: int, k: int) -> list[np.ndarray]:
     """The k-1 sweep arguments as n x c_p matrices."""
     mats = [_as_columns(mat, n) for mat in mats]
@@ -229,6 +207,25 @@ def sweep_leading(tensor: np.ndarray, mats, merge) -> np.ndarray:
     for mat in _sweep_matrices(mats, n, k):
         msg = merge(mat.T @ msg.reshape(msg.shape[0], n, -1))
     return msg.T
+
+
+def _keep_every_row(met: np.ndarray) -> np.ndarray:
+    """Sweep merge that keeps every row of the (a1, a2, m) message, the
+    earlier argument's index fastest (psi order over the argument modes)."""
+    a1, a2, m = met.shape
+    return met.transpose(1, 0, 2).reshape(a1 * a2, m)
+
+
+def contract_leading(tensor: np.ndarray, args) -> np.ndarray:
+    """Contract modes 1..k-1 with k-1 n-vectors or n x c_p matrices.
+
+    Returns the n x (prod c_p) matrix with rows indexed by mode k and
+    columns psi-merged over the arguments (slot 1 fastest), which is
+    A_(k) (args[k-2] kron ... kron args[0]); all-vector arguments give the
+    n x 1 column A v_1 ... v_{k-1}.  One :func:`sweep_leading` that keeps
+    every row.
+    """
+    return sweep_leading(tensor, args, _keep_every_row)
 
 
 def almost_symmetrize(tensor: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, UnsupportedError
+from .errors import ArgumentError, ShapeError
 from .kernels import RankTolerance, compact_svd
-from .tensor_core import (_as_columns, _require_cubical, _sweep_matrices,
+from .tensor_core import (_keep_every_row, _require_cubical, _sweep_matrices,
                           unfold)
 
 __all__ = [
@@ -138,29 +138,6 @@ def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
     return msg @ train.cores[-1][:, :, 0]
 
 
-def tt_contract(train: TensorTrain, args) -> np.ndarray:
-    """Contract modes 1..k-1 against vectors, at most one being a matrix.
-
-    Slot p (an n-vector or n x c matrix) is contracted with the middle mode
-    of core p, so it addresses tensor mode p.  Returns the n x (prod c_p)
-    matrix whose rows are indexed by mode k; with all-vector arguments this
-    is the n x 1 column A v_1 v_2 ... v_{k-1}.
-    """
-    n, k = _require_cubical(train.dims)
-    args = list(args)
-    if len(args) != k - 1:
-        raise ArgumentError(f"expected {k - 1} arguments, got {len(args)}")
-    mats = [_as_columns(a, n) for a in args]
-    if sum(1 for m in mats if m.shape[1] > 1) > 1:
-        raise UnsupportedError("at most one matrix argument is supported")
-    acc = np.ones((1, 1))  # (merged column count, chain rank)
-    for core, z in zip(train.cores[:-1], mats):
-        contracted = np.einsum("rns,nc->rcs", core, z)
-        acc = np.einsum("ar,rcs->acs", acc, contracted)
-        acc = acc.reshape(-1, acc.shape[2])
-    return (acc @ train.cores[-1][:, :, 0]).T
-
-
 def tt_sweep(train: TensorTrain, mats, merge) -> np.ndarray:
     """Contract modes 1..k-1 with n x c_p matrices, merging as they meet.
 
@@ -175,6 +152,17 @@ def tt_sweep(train: TensorTrain, mats, merge) -> np.ndarray:
     for core, mat in zip(train.cores[:-1], _sweep_matrices(mats, n, k)):
         msg = merge(mat.T @ np.tensordot(msg, core, axes=(1, 0)))
     return (msg @ train.cores[-1][:, :, 0]).T
+
+
+def tt_contract(train: TensorTrain, args) -> np.ndarray:
+    """Contract modes 1..k-1 with k-1 n-vectors or n x c_p matrices.
+
+    Slot p addresses tensor mode p (the middle mode of core p).  Returns
+    the n x (prod c_p) matrix with rows indexed by mode k and columns
+    psi-merged over the arguments, as :func:`contract_leading` does on the
+    dense tensor: one :func:`tt_sweep` that keeps every row.
+    """
+    return tt_sweep(train, args, _keep_every_row)
 
 
 def tt_param_count(train: TensorTrain) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpdstensor import analysis, model
+from hpdstensor import analysis, hier_tucker, model, tensor_train
 from hpdstensor import tensor_core as tc
-from hpdstensor.analysis import (_contraction, _lie_gradients, _row_space,
+from hpdstensor.analysis import (_lie_gradients, _row_space,
                                  controllability_full, controllability_ht,
                                  controllability_tt, gradient_sum,
                                  lift_operator, observability_at_probes,
@@ -21,6 +22,8 @@ from hpdstensor.kernels import (RankTolerance, compact_svd, numerical_rank,
                                 subspace_equal)
 from hpdstensor.model import FORMATS
 from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
+
+from test_tensor_train import dense_contraction_oracle
 
 
 def linear_tensor(a_matrix):
@@ -45,8 +48,8 @@ def representations(tensor):
 
 
 def production_blocks(dynamics, c, x, depth):
-    n, k, contract = _contraction(dynamics)
-    return _lie_gradients(n, k, contract, c, x, depth)
+    fmt, dynamics, _, k = analysis._format(dynamics)
+    return _lie_gradients(fmt, dynamics, k, c, x, depth)
 
 
 def reference_blocks(tensor, c, x, depth):
@@ -74,6 +77,12 @@ class TestControllabilityFull:
         res = controllability_full(np.zeros((3, 3, 3, 3)), np.eye(3)[:, :1])
         assert res.rank == 1
         assert res.verdict == "not_controllable"
+        # the zero tree has rank-0 nodes, which every format must sweep
+        for k in (3, 4):
+            results = {(r.rank, r.verdict, r.iterations) for r in (
+                analysis.controllability(dyn, np.eye(3)[:, :1])
+                for dyn in representations(np.zeros((3,) * k)).values())}
+            assert len(results) == 1 and results.pop()[0] == 1
 
     def test_odd_k_uses_accessibility_vocabulary(self):
         rng = np.random.default_rng(1)
@@ -173,14 +182,11 @@ class TestControllabilityDecomposed:
             assert subspace_equal(res.basis, kal, 1e-9)
 
 
-def ordered_span(dynamics, basis):
-    """A(v_1, ..., v_{k-1}) over every ordered tuple of basis columns, one
-    contraction each: the definition the reachability sweep is checked
-    against."""
-    n, k, contract = _contraction(dynamics)
-    cols = [basis[:, j] for j in range(basis.shape[1])]
-    return np.column_stack([contract(sel).ravel()
-                            for sel in itertools.product(cols, repeat=k - 1)])
+def ordered_span(tensor, basis):
+    """A(v_1, ..., v_{k-1}) over every ordered tuple of basis columns of a
+    dense tensor, by the Kronecker-chain oracle: the definition the
+    reachability sweep is checked against."""
+    return dense_contraction_oracle(tensor, [basis] * (tensor.ndim - 1))
 
 
 def range_basis(matrix):
@@ -195,6 +201,20 @@ def sweep_calls(monkeypatch):
         kernel = getattr(model, name)
         monkeypatch.setattr(model, name, lambda *a, kernel=kernel:
                             calls.append(1) or kernel(*a))
+    return calls
+
+
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """Counts the *_contract calls made through any package module."""
+    calls = []
+    kernels = (tc.contract_leading, tensor_train.tt_contract,
+               hier_tucker.htd_contract)
+    for module in (tc, tensor_train, hier_tucker, model, analysis):
+        for name, value in list(vars(module).items()):
+            if any(value is kernel for kernel in kernels):
+                monkeypatch.setattr(module, name, lambda *a, kernel=value:
+                                    calls.append(1) or kernel(*a))
     return calls
 
 
@@ -400,6 +420,29 @@ class TestObservabilityFull:
             observability_full(t, np.eye(2), np.ones(2), depth=5)
 
 
+def composition_blocks(tensor, c, x, depth):
+    """The Taylor recursion by enumeration, on the dense tensor: (i+1)
+    x_{i+1} sums A(x_{i_1}, ..., x_{i_{k-1}}) over the compositions of i
+    into k-1 parts, and (i+1) J_{i+1} puts J_{i_s} into one slot at a time.
+    Every contraction is the Kronecker-chain oracle's."""
+    n, k = tensor.shape[0], tensor.ndim
+    coeffs, tangents, blocks = [x], [np.eye(n)], [c]
+    for i in range(depth):
+        coeff, tangent = np.zeros(n), np.zeros((n, n))
+        for parts in itertools.product(range(i + 1), repeat=k - 1):
+            if sum(parts) != i:
+                continue
+            args = [coeffs[p] for p in parts]
+            coeff += dense_contraction_oracle(tensor, args)[:, 0]
+            for s, p in enumerate(parts):
+                slot = args[:s] + [tangents[p]] + args[s + 1:]
+                tangent += dense_contraction_oracle(tensor, slot)
+        coeffs.append(coeff / (i + 1))
+        tangents.append(tangent / (i + 1))
+        blocks.append(math.factorial(i + 1) * (c @ tangents[-1]))
+    return blocks
+
+
 def _block_case(n, k, symmetric, seed):
     rng = np.random.default_rng(seed)
     tensor = rng.standard_normal((n,) * k)
@@ -411,7 +454,7 @@ def _block_case(n, k, symmetric, seed):
 class TestLieGradientBlocks:
     @pytest.mark.parametrize("n,k,depth", [
         (2, 2, 1), (4, 2, 3), (2, 3, 1), (3, 3, 2), (4, 3, 3),
-        (2, 4, 1), (3, 4, 2), (4, 4, 2)])
+        (2, 4, 1), (3, 4, 2), (4, 4, 2), (3, 5, 2), (3, 6, 2)])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_blocks_match_lift_reference(self, n, k, depth, symmetric):
         tensor, c, x = _block_case(n, k, symmetric, 10 * n + k)
@@ -471,6 +514,32 @@ class TestLieGradientBlocks:
             (observability_ht, inst.ht))]
         assert {r.depth for r in results} == {6}
         assert {r.matrix_rank for r in results} == {7}
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_default_depth_matches_the_composition_loop(self, k,
+                                                        sweep_calls):
+        n = 4
+        tensor, c, x = _block_case(n, k, True, 50 + k)
+        expected = composition_blocks(tensor, c, x, n - 1)
+        assert sweep_calls == []  # the oracle is independent of sweep
+        for name, dyn in representations(tensor).items():
+            assert analysis.observability(dyn, c, x).depth == n - 1
+            got = production_blocks(dyn, c, x, n - 1)
+            for j, (g, e) in enumerate(zip(got, expected)):
+                err = np.max(np.abs(g - e)) / np.max(np.abs(e))
+                assert err <= 1e-12, (name, j, err)
+
+    def test_one_sweep_per_degree_and_no_contract(self, sweep_calls,
+                                                  contract_calls):
+        inst = gen_instance("symmetric", 5, 4)
+        rng = np.random.default_rng(42)
+        c, x = rng.standard_normal((1, 5)), rng.standard_normal(5)
+        for dyn in inst.forms().values():
+            for depth in (0, 1, 4):
+                del sweep_calls[:]
+                res = analysis.observability(dyn, c, x, depth=depth)
+                assert res.depth == depth and len(sweep_calls) == depth
+        assert contract_calls == []
 
 
 def _unobservable_last_state(tensor, c):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.errors import ArgumentError, ShapeError, UnsupportedError
+from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, TreeNode,
                                     build_tree, htd_contract, htd_decompose,
                                     htd_eval_hpds, htd_param_count,
@@ -179,14 +179,18 @@ class TestEvalAndContract:
         v = np.random.default_rng(46).standard_normal((3, 2))
         out = htd_contract(h, [v[:, 0], v[:, 1]])
         assert out.shape == (3, 1)
-        assert np.allclose(out.ravel(),
-                           tc.contract_leading(t, [v[:, 0], v[:, 1]]),
+        assert np.allclose(out, tc.contract_leading(t, [v[:, 0], v[:, 1]]),
                            atol=1e-11)
 
-    def test_two_matrices_rejected(self):
-        h = htd_decompose(random_tensor((2, 2, 2), 47))
-        with pytest.raises(UnsupportedError):
-            htd_contract(h, [np.eye(2), np.eye(2)])
+    def test_two_matrices_match_dense_oracle(self):
+        t = random_tensor((3, 3, 3, 3), 47)
+        rng = np.random.default_rng(47)
+        args = [rng.standard_normal((3, 2)), rng.standard_normal(3),
+                rng.standard_normal((3, 4))]
+        got = htd_contract(htd_decompose(t), args)
+        assert got.shape == (3, 8)
+        assert np.allclose(got, dense_contraction_oracle(t, args),
+                           atol=1e-10)
 
     def test_wrong_argument_count(self):
         h = htd_decompose(random_tensor((2, 2, 2), 48))

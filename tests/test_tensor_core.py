@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.errors import ArgumentError, ShapeError, UnsupportedError
+from hpdstensor.errors import ArgumentError, ShapeError
+
+from test_tensor_train import dense_contraction_oracle
 
 
 class TestPsiIndex:
@@ -296,14 +298,23 @@ class TestContractLeading:
     def test_all_vectors_remove_their_modes(self):
         t = np.random.default_rng(13).standard_normal((2, 2, 2, 2))
         v = np.array([0.5, -1.0])
-        assert tc.contract_leading(t, [v, v, v]).shape == (2,)
-        assert tc.contract_leading(t, [v]).shape == (2, 2, 2)
-        assert np.allclose(tc.contract_leading(t, [v, v, v]),
+        assert tc.contract_leading(t, [v, v, v]).shape == (2, 1)
+        assert np.allclose(tc.contract_leading(t, [v, v, v])[:, 0],
                            tc.hpds_eval_full(t, v))
+
+    def test_two_matrices_match_dense_oracle(self):
+        t = np.random.default_rng(14).standard_normal((3, 3, 3, 3))
+        rng = np.random.default_rng(15)
+        args = [rng.standard_normal((3, 2)), rng.standard_normal(3),
+                rng.standard_normal((3, 4))]
+        got = tc.contract_leading(t, args)
+        assert got.shape == (3, 8)
+        assert np.allclose(got, dense_contraction_oracle(t, args),
+                           atol=1e-12)
 
     def test_argument_validation(self):
         t = np.zeros((2, 2, 2))
-        with pytest.raises(UnsupportedError):
-            tc.contract_leading(t, [np.eye(2), np.eye(2)])
+        with pytest.raises(ArgumentError):
+            tc.contract_leading(t, [np.ones(2)])
         with pytest.raises(ShapeError):
             tc.contract_leading(t, [np.ones(3), np.ones(2)])

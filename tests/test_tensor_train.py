@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.errors import ArgumentError, ShapeError, UnsupportedError
+from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.kernels import numerical_rank
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
                                      tt_eval_hpds, tt_param_count,
@@ -179,7 +179,8 @@ class TestContract:
         b = np.random.default_rng(15).standard_normal((3, 2))
         got = tt_contract(train, [b[:, 0], b[:, 1]])
         via_modes = tc.contract_leading(t, [b[:, 0], b[:, 1]])
-        assert np.allclose(got.ravel(), via_modes, atol=1e-11)
+        assert got.shape == via_modes.shape == (3, 1)
+        assert np.allclose(got, via_modes, atol=1e-11)
 
     def test_linearity_in_each_slot(self):
         t = random_tensor((2, 2, 2), 16)
@@ -190,10 +191,15 @@ class TestContract:
         rhs = tt_contract(train, [x, z]) + 2.0 * tt_contract(train, [y, z])
         assert np.allclose(lhs, rhs, atol=1e-11)
 
-    def test_two_matrices_rejected(self):
-        train = tt_decompose(random_tensor((2, 2, 2), 18))
-        with pytest.raises(UnsupportedError):
-            tt_contract(train, [np.eye(2), np.eye(2)])
+    def test_two_matrices_match_dense_oracle(self):
+        t = random_tensor((3, 3, 3, 3), 18)
+        rng = np.random.default_rng(18)
+        args = [rng.standard_normal((3, 2)), rng.standard_normal(3),
+                rng.standard_normal((3, 4))]
+        got = tt_contract(tt_decompose(t), args)
+        assert got.shape == (3, 8)
+        assert np.allclose(got, dense_contraction_oracle(t, args),
+                           atol=1e-10)
 
     def test_wrong_argument_count(self):
         train = tt_decompose(random_tensor((2, 2, 2), 19))
