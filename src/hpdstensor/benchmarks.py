@@ -23,6 +23,7 @@ from .hier_tucker import (DimensionTree, HTucker, build_tree, htd_decompose,
 from .kernels import RankTolerance
 from .model import FORMATS
 from .randomness import generator
+from .tensor_core import multisets
 from .tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
@@ -67,15 +68,12 @@ def _symmetric_dense(n: int, k: int, seed: int) -> np.ndarray:
     """Fully symmetric tensor: one uniform value per index multiset.
 
     Values are drawn in ``combinations_with_replacement(range(n), k)``
-    order, which is the ascending order of the codes of the sorted
-    multi-indices, so an entry's multiset is the rank of its sorted code.
+    order, the order in which :func:`multisets` ranks them.
     """
     dims = (n,) * k
     values = generator(seed).random(math.comb(n + k - 1, k)) * 2.0 - 1.0
-    index = np.indices(dims, dtype=np.min_scalar_type(n)).reshape(k, -1)
-    codes = np.ravel_multi_index(np.sort(index, axis=0), dims)
-    _, multiset = np.unique(codes, return_inverse=True)
-    return values[multiset].reshape(dims)
+    _, ranks, _ = multisets(n, k)
+    return values[ranks].reshape(dims)
 
 
 def _random_tt(n: int, k: int, rank_cap: int, seed: int) -> TensorTrain:

@@ -26,7 +26,7 @@ from .errors import (ArgumentError, AssumptionError, DivergenceError,
 from .kernels import RankTolerance
 from .model import FORMATS, add_noise, simulate_continuous, simulate_discrete
 from .randomness import generator
-from .sysid import identify_full, identify_ht, identify_io_noisy
+from .sysid import identify_full, identify_ht, identify_io_noisy, identify_tt
 
 SCHEME_ALIASES = {"sym": "symmetric", "lowtt": "low_tt", "lowht": "low_ht",
                   "symmetric": "symmetric", "low_tt": "low_tt",
@@ -65,14 +65,15 @@ def cmd_identify(args) -> int:
     samples = serialize.read_trajectory_csv(args.data)
     tol = _tolerance(args)
     try:
-        if args.repr == "ht" and not args.io:
-            # one leaf SVD serves modes 1..k-1 of the almost symmetric tensor
-            model = identify_ht(samples, args.order, tol=tol)
-        else:
-            identify = identify_io_noisy if args.io else identify_full
-            model = identify(samples, args.order, tol=tol)
+        if args.io:
+            model = identify_io_noisy(samples, args.order, tol=tol)
             model = replace(model, dynamics=FORMATS[args.repr].from_dense(
                 model.dynamics, tol))
+        else:
+            # tt and ht convert at the recovery's own conversion tolerance
+            identify = {"full": identify_full, "tt": identify_tt,
+                        "ht": identify_ht}[args.repr]
+            model = identify(samples, args.order, tol=tol)
     except IdentifiabilityError as exc:
         report = exc.report
         serialize.write_json_file(args.out, {

@@ -186,8 +186,11 @@ def _project_on_children(u_left: np.ndarray, u_right: np.ndarray,
     nl, rl = u_left.shape
     nr, rr = u_right.shape
     t3 = target.reshape(nl, nr, target.shape[1], order="F")
-    out = np.einsum("na,nmc,mb->abc", u_left, t3, u_right)
-    return out.reshape(rl * rr, target.shape[1], order="F")
+    # two pairwise contractions, each one BLAS call
+    out = np.tensordot(np.tensordot(u_left, t3, axes=(0, 0)), u_right,
+                       axes=(1, 0))                          # (a, c, b)
+    return out.transpose(0, 2, 1).reshape(rl * rr, target.shape[1],
+                                          order="F")
 
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,

@@ -1,12 +1,15 @@
 """Data-driven identification of homogeneous polynomial systems.
 
 The autonomous path recovers the k-mode unfolding A_(k) from state and
-derivative samples through the Khatri-Rao power of the states; the
-input-output path reconstructs states from the output SVD and solves the
-finite-difference relation.  The tensor-train result is the full recovery
-converted through the model's ``FORMATS`` table; the hierarchical Tucker
-pipeline builds its tree from the same data with one leaf SVD shared by the
-almost symmetric modes 1..k-1.
+derivative samples through the Khatri-Rao power KR of the states; the
+input-output path reconstructs states from the output SVD once and solves
+the finite-difference relation.  Neither forms KR (n^(k-1) x T): both work
+on its C(n+k-2, k-1) distinct monomial rows, weighted by the square roots of
+their multiplicities, which have KR's singular values, and gather the
+unfolding's columns from one coefficient per monomial.  The tensor-train
+result is the full recovery converted through the model's ``FORMATS``
+table; the hierarchical Tucker pipeline builds its tree from the same data
+with one leaf SVD shared by the almost symmetric modes 1..k-1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .hier_tucker import (DimensionTree, HTucker, _project_on_children,
                           _unfold_ordered, build_tree)
 from .kernels import CompactSvd, RankTolerance, compact_svd, least_squares
 from .model import FORMATS, HpdsModel, SampleSet
-from .tensor_core import almost_symmetrize, fold, khatri_rao_power, unfold
+from .tensor_core import fold, multisets, unfold
 
 __all__ = [
     "IdentifiabilityReport", "required_rank", "check_identifiability_autonomous",
@@ -73,61 +76,103 @@ def _report(svd: CompactSvd, required: int) -> IdentifiabilityReport:
     return IdentifiabilityReport(observed, required, satisfied, margin, ill)
 
 
+def _weighted_monomials(x: np.ndarray, k: int):
+    """W^{1/2} R, the weights W^{1/2} and the multiset of every column.
+
+    R holds the M = C(n+k-2, k-1) distinct rows of KR, the (k-1)-fold
+    Khatri-Rao power of x (n^(k-1) x T), one per monomial of degree k-1,
+    and W how often each occurs in KR.  Row j of KR is row ``columns[j]`` of R, so
+    KR^T KR = (W^{1/2} R)^T (W^{1/2} R): the two matrices share their
+    singular values and right singular vectors, and the Khatri-Rao
+    regression X1 pinv(KR) is (X1 pinv(W^{1/2} R) W^{-1/2})[:, columns].
+    KR itself is never formed.
+    """
+    members, columns, counts = multisets(x.shape[0], k - 1)
+    rows = x[members[:, 0]]
+    for p in range(1, k - 1):
+        rows = rows * x[members[:, p]]
+    root = np.sqrt(counts)
+    return root[:, None] * rows, root, columns
+
+
+def _khatri_rao_tol(tol: RankTolerance | None, rows: int,
+                    cols: int) -> RankTolerance:
+    """``tol``, or the default threshold at the shape of the Khatri-Rao data
+    matrix, so that the smaller monomial matrix reaches the same verdicts."""
+    return RankTolerance(value=max(rows, cols) * _EPS) if tol is None else tol
+
+
+def _autonomous_svd(x0: np.ndarray, k: int, tol: RankTolerance | None):
+    """Compact SVD of W^{1/2} R, with the weights and column multisets."""
+    n, t = x0.shape
+    weighted, root, columns = _weighted_monomials(x0, k)
+    return (compact_svd(weighted, _khatri_rao_tol(tol, n ** (k - 1), t)),
+            root, columns)
+
+
 def check_identifiability_autonomous(samples: SampleSet, k: int,
                                      tol: RankTolerance | None = None
                                      ) -> IdentifiabilityReport:
     """Check rank(X0_hat) against the unique-identification count."""
     if samples.X0 is None:
         raise ArgumentError("sample set has no state matrix X0")
-    n = samples.X0.shape[0]
-    svd = compact_svd(khatri_rao_power(samples.X0, k - 1), tol)
-    return _report(svd, required_rank(n, k))
+    svd, _, _ = _autonomous_svd(samples.X0, k, tol)
+    return _report(svd, required_rank(samples.X0.shape[0], k))
 
 
-def _recover_unfolding(samples: SampleSet, k: int,
-                       tol: RankTolerance | None) -> np.ndarray:
-    """A_(k) = X1 V0 S0^+ U0^T from the compact SVD of the Khatri-Rao power.
+def _recover_unfolding(samples: SampleSet, k: int, tol: RankTolerance | None
+                       ) -> tuple[np.ndarray, RankTolerance]:
+    """A_(k) = X1 pinv(X0_hat), and the tolerance to convert it at.
 
-    One SVD serves both the rank condition and the pseudo-inverse.
+    One compact SVD of the weighted monomial matrix serves both the rank
+    condition and the pseudo-inverse.  The unfolding gathers one column per
+    monomial, so the tensor it folds to is exactly almost symmetric.  The
+    recovered entries carry an error of about kappa eps, kappa the
+    condition number of the data matrix; unless ``tol`` is given, the
+    conversion tolerance max(n^(k-1), T) eps kappa drops ranks at that
+    level.
     """
     if samples.X0 is None or samples.X1 is None:
         raise ArgumentError("autonomous identification needs X0 and X1")
     if samples.x1_kind != "derivative":
         raise ArgumentError("autonomous identification needs derivative data; "
                             "use the io path for discrete samples")
-    n = samples.X0.shape[0]
-    svd = compact_svd(khatri_rao_power(samples.X0, k - 1), tol)
+    n, t = samples.X0.shape
+    svd, root, columns = _autonomous_svd(samples.X0, k, tol)
     report = _report(svd, required_rank(n, k))
     if not report.satisfied:
         raise IdentifiabilityError(report)
-    return samples.X1 @ ((svd.V / svd.S) @ svd.U.T)
+    coeffs = (samples.X1 @ (svd.V / svd.S)) @ (svd.U.T / root)
+    if tol is None:
+        kappa = float(svd.S[0] / svd.S[-1])
+        tol = RankTolerance(value=max(n ** (k - 1), t) * _EPS * kappa)
+    return coeffs[:, columns], tol
 
 
 def identify_full(samples: SampleSet, k: int,
                   tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dense dynamic tensor from exact autonomous data.
 
-    The recovered unfolding folds to an almost symmetric tensor because the
-    duplicated rows of the Khatri-Rao power force equal columns in the
-    projector.
+    The recovered tensor is almost symmetric by construction: permuted
+    multi-indices of modes 1..k-1 read the same monomial coefficient.
     """
-    ak = _recover_unfolding(samples, k, tol)
+    ak, _ = _recover_unfolding(samples, k, tol)
     n = samples.X0.shape[0]
-    tensor = fold(ak, {k}, [n] * k)
-    return HpdsModel(k, n, tensor)
+    return HpdsModel(k, n, fold(ak, {k}, [n] * k))
 
 
 def identify_tt(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dynamics in tensor-train form.
 
-    The :func:`identify_full` tensor converted to "tt": sequential SVDs
-    peeling mode k first, so the factor ordering matches the train-based
-    evaluation formula.
+    The :func:`identify_full` tensor converted to "tt" at the recovery's
+    conversion tolerance: sequential SVDs peeling mode k first, so the
+    factor ordering matches the train-based evaluation formula.
     """
-    model = identify_full(samples, k, tol)
-    return replace(model, dynamics=FORMATS["tt"].from_dense(model.dynamics,
-                                                            tol))
+    ak, conversion = _recover_unfolding(samples, k, tol)
+    n = samples.X0.shape[0]
+    tensor = fold(ak, {k}, [n] * k)
+    return HpdsModel(k, n, FORMATS["tt"].from_dense(tensor, conversion))
 
 
 def identify_ht(samples: SampleSet, k: int,
@@ -137,9 +182,10 @@ def identify_ht(samples: SampleSet, k: int,
 
     Uses the almost-symmetry shortcut: the leaf factors of modes 1..k-1 are
     all taken from the 1-mode unfolding of the recovered tensor, so they are
-    identical arrays; internal transfers come from per-node unfolding SVDs.
+    identical arrays; internal transfers come from per-node unfolding SVDs,
+    all at the recovery's conversion tolerance.
     """
-    ak = _recover_unfolding(samples, k, tol)
+    ak, conversion = _recover_unfolding(samples, k, tol)
     n = samples.X0.shape[0]
     tensor = fold(ak, {k}, [n] * k)
     if tree is None:
@@ -147,8 +193,8 @@ def identify_ht(samples: SampleSet, k: int,
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != k={k}")
 
-    u_last = compact_svd(ak, tol).U                      # mode-k factor
-    u_first = compact_svd(unfold(tensor, {1}), tol).U    # shared by modes < k
+    u_last = compact_svd(ak, conversion).U                    # mode-k factor
+    u_first = compact_svd(unfold(tensor, {1}), conversion).U  # modes < k
     leaf_factors = {p: u_first for p in range(1, k)}
     leaf_factors[k] = u_last
 
@@ -160,7 +206,7 @@ def identify_ht(samples: SampleSet, k: int,
             target = _unfold_ordered(tensor, node.ordered_modes())
         else:
             target = compact_svd(
-                _unfold_ordered(tensor, node.ordered_modes()), tol).U
+                _unfold_ordered(tensor, node.ordered_modes()), conversion).U
             bases[node.modes] = target
         transfer[node.modes] = _project_on_children(
             bases[node.left.modes], bases[node.right.modes], target)
@@ -190,6 +236,37 @@ def _resolve_n(samples: SampleSet, n: int | None) -> int:
     return samples.X0.shape[0]
 
 
+def _io_check(samples: SampleSet, k: int, n: int | None,
+              tol: RankTolerance | None):
+    """The io rank report, with the pieces of the regression it built.
+
+    Returns ``(report, n, c_est, states, monomials)``: the states are
+    reconstructed from Y0 once, and ``monomials`` is
+    :func:`_weighted_monomials` of all but the last state column.
+    """
+    if samples.U0 is None or samples.Y0 is None:
+        raise ArgumentError("io identification needs U0 and Y0")
+    n = _resolve_n(samples, n)
+    if samples.Y0.shape[0] < n:
+        raise AssumptionError(f"need l >= n outputs, got l={samples.Y0.shape[0]}")
+    m = samples.U0.shape[0]
+    required = required_rank(n, k) + m
+
+    c_est, states, y_rank = _states_from_output(samples, n, tol)
+    t = states.shape[1]
+    if t < 2:
+        raise ArgumentError("need at least two samples")
+    monomials = _weighted_monomials(states[:, :t - 1], k)
+    stack = np.vstack([monomials[0], samples.U0[:, :t - 1]])
+    svd = compact_svd(stack, _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1))
+    report = _report(svd, required)
+    # exact data from an n-state system has rank(Y0) <= n, so demanding
+    # >= n is the same condition there while tolerating noise-inflated rank
+    if y_rank < n:
+        report = replace(report, satisfied=False)
+    return report, n, c_est, states, monomials
+
+
 def check_identifiability_io(samples: SampleSet, k: int,
                              n: int | None = None,
                              tol: RankTolerance | None = None
@@ -200,44 +277,30 @@ def check_identifiability_io(samples: SampleSet, k: int,
     state power over the inputs must reach the unique-identification count
     plus m.  States are reconstructed from Y0's singular value
     decomposition, so a rank-deficient output matrix surfaces as a deficient
-    stacked rank.
+    stacked rank.  The Khatri-Rao power enters through its weighted distinct
+    monomial rows, which give the stack the same singular values.
     """
-    if samples.U0 is None or samples.Y0 is None:
-        raise ArgumentError("io identification needs U0 and Y0")
-    n = _resolve_n(samples, n)
-    if samples.Y0.shape[0] < n:
-        raise AssumptionError(f"need l >= n outputs, got l={samples.Y0.shape[0]}")
-    m = samples.U0.shape[0]
-    required = required_rank(n, k) + m
-
-    _, states, y_rank = _states_from_output(samples, n, tol)
-    t = states.shape[1]
-    if t < 2:
-        raise ArgumentError("need at least two samples")
-    x0 = states[:, :t - 1]
-    xhat = khatri_rao_power(x0, k - 1)
-    stack = np.vstack([xhat, samples.U0[:, :t - 1]])
-    report = _report(compact_svd(stack, tol), required)
-    # exact data from an n-state system has rank(Y0) <= n, so demanding
-    # >= n is the same condition there while tolerating noise-inflated rank
-    if y_rank < n:
-        report = IdentifiabilityReport(report.observed_rank, required, False,
-                                       report.margin, report.ill_conditioned)
-    return report
+    return _io_check(samples, k, n, tol)[0]
 
 
-def _solve_io(samples: SampleSet, k: int, n: int,
+def _solve_io(samples: SampleSet, k: int, n: int | None,
               tol: RankTolerance | None):
-    c_est, states, _ = _states_from_output(samples, n, tol)
+    """(n, A_(k), B, C estimate, X0) of the finite-difference regression
+    over [tau X0_hat; U0], once the io rank condition holds."""
+    report, n, c_est, states, (weighted, root, columns) = _io_check(
+        samples, k, n, tol)
+    if not report.satisfied:
+        raise IdentifiabilityError(report)
     t = states.shape[1]
     x0, x1 = states[:, :t - 1], states[:, 1:]
     u0 = samples.U0[:, :t - 1]
-    xhat = khatri_rao_power(x0, k - 1)
-    d = np.vstack([samples.tau * xhat, u0])
-    combined = least_squares(d.T, (x1 - x0).T, tol).T
-    ak = combined[:, :xhat.shape[0]]
-    b = combined[:, xhat.shape[0]:]
-    return ak, b, c_est, x0
+    d = np.vstack([samples.tau * weighted, u0])
+    combined = least_squares(
+        d.T, (x1 - x0).T,
+        _khatri_rao_tol(tol, n ** (k - 1) + u0.shape[0], t - 1)).T
+    count = weighted.shape[0]
+    ak = (combined[:, :count] / root)[:, columns]
+    return n, ak, combined[:, count:], c_est, x0
 
 
 def identify_io(samples: SampleSet, k: int, n: int | None = None,
@@ -250,13 +313,8 @@ def identify_io(samples: SampleSet, k: int, n: int | None = None,
     is unique up to the basis, so accuracy is asserted on reproduced
     outputs, not raw parameters.
     """
-    report = check_identifiability_io(samples, k, n, tol)
-    if not report.satisfied:
-        raise IdentifiabilityError(report)
-    n = _resolve_n(samples, n)
-    ak, b, c_est, _ = _solve_io(samples, k, n, tol)
-    tensor = fold(ak, {k}, [n] * k)
-    return HpdsModel(k, n, tensor, B=b, C=c_est)
+    n, ak, b, c_est, _ = _solve_io(samples, k, n, tol)
+    return HpdsModel(k, n, fold(ak, {k}, [n] * k), B=b, C=c_est)
 
 
 def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
@@ -264,17 +322,12 @@ def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
     """Least-squares identification for noisy input-output data.
 
     Solves the two decoupled regressions (dynamics over [tau X0_hat; U0],
-    output matrix over X0) and projects the recovered tensor onto the
-    almost symmetric set; with sigma = 0 this coincides with
-    :func:`identify_io` up to roundoff.
+    output matrix over X0).  The recovered tensor is almost symmetric by
+    construction, as on the autonomous path; with sigma = 0 this coincides
+    with :func:`identify_io` up to roundoff.
     """
-    report = check_identifiability_io(samples, k, n, tol)
-    if not report.satisfied:
-        raise IdentifiabilityError(report)
-    n = _resolve_n(samples, n)
-    ak, b, _, x0 = _solve_io(samples, k, n, tol)
+    n, ak, b, _, x0 = _solve_io(samples, k, n, tol)
     # output regression against the reconstructed states
     t = x0.shape[1]
     c_est = least_squares(x0.T, samples.Y0[:, :t].T, tol).T
-    tensor = almost_symmetrize(fold(ak, {k}, [n] * k))
-    return HpdsModel(k, n, tensor, B=b, C=c_est)
+    return HpdsModel(k, n, fold(ak, {k}, [n] * k), B=b, C=c_est)

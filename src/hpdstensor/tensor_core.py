@@ -83,6 +83,28 @@ def khatri_rao_power(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def multisets(n: int, m: int):
+    """Rank the n^m multi-indices over range(n) by their multiset.
+
+    Returns ``(members, ranks, counts)``.  ``members`` is the M x m array of
+    the M = C(n+m-1, m) multisets as sorted indices, in
+    ``combinations_with_replacement(range(n), m)`` order, which is the
+    ascending order of the codes of the sorted multi-indices.  ``ranks[j]``
+    is the multiset of the j-th multi-index, the base-n digits of j; a
+    multiset does not depend on the order of its digits, so this holds for
+    psi and row-major positions alike.  ``counts`` holds how many
+    multi-indices share each multiset, the multinomial coefficients.
+    """
+    dims = (n,) * m
+    index = np.indices(dims, dtype=np.min_scalar_type(n)).reshape(m, -1)
+    sorted_index = np.sort(index, axis=0)
+    codes = np.ravel_multi_index(sorted_index, dims)
+    _, first, ranks, counts = np.unique(codes, return_index=True,
+                                        return_inverse=True,
+                                        return_counts=True)
+    return sorted_index[:, first].T, ranks, counts
+
+
 def kron_power(v: np.ndarray, m: int) -> np.ndarray:
     """m-fold Kronecker power of a vector; m = 0 gives the scalar [1]."""
     if m < 0:

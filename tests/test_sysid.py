@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdstensor import sysid
 from hpdstensor import tensor_core as tc
@@ -133,10 +136,13 @@ class TestIdentifyFull:
         truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
         s = exact_autonomous_samples(truth, 12, 9)
         model = identify_full(s, 3)
-        assert shapes == [(9, 12)]
+        # one SVD of the C(n+k-2, k-1) = 6 weighted monomial rows
+        assert shapes == [(6, 12)]
         assert np.allclose(model.dynamics, truth, atol=1e-8)
         unfolding = s.X1 @ pinv(tc.khatri_rao_power(s.X0, 2))
-        assert np.array_equal(tc.unfold(model.dynamics, {3}), unfolding)
+        got = tc.unfold(model.dynamics, {3})
+        assert np.linalg.norm(got - unfolding) <= \
+            1e-12 * np.linalg.norm(unfolding)
 
     def test_condition_failure_raises_with_report(self):
         rng = np.random.default_rng(7)
@@ -180,12 +186,16 @@ class TestIdentifyDecomposed:
         assert np.linalg.norm(tt_reconstruct(tt_model.dynamics) -
                               full.dynamics) <= 1e-8
 
-    def test_tt_rank_one_dynamics(self):
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tt_rank_one_dynamics(self, seed):
         v = np.array([0.6, 0.8, 0.0])
         truth = np.einsum("i,j,k->ijk", v, v, v)
-        s = exact_autonomous_samples(truth, 12, 14)
+        s = exact_autonomous_samples(truth, 12, seed)
         tt_model = identify_tt(s, 3)
         assert max(tt_model.dynamics.ranks) == 1
+        h = identify_ht(s, 3).dynamics
+        assert all(h.rank_of(node.modes) == 1 for node, _ in h.tree.walk()
+                   if node is not h.tree.root)
 
     def test_k2_two_core_train(self):
         rng = np.random.default_rng(15)
@@ -237,6 +247,69 @@ class TestIdentifyDecomposed:
             outs = [eval_derivative(m, x) for m in models]
             assert np.allclose(outs[0], outs[1], atol=1e-8)
             assert np.allclose(outs[0], outs[2], atol=1e-8)
+
+
+class TestWeightedMonomials:
+    """Identification works on the distinct monomial rows of the
+    Khatri-Rao power, weighted by the square roots of their counts."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 4), k=st.integers(2, 5),
+           extra=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+    def test_same_singular_values_and_regression_as_khatri_rao(
+            self, n, k, extra, seed):
+        rng = np.random.default_rng(seed)
+        t_count = required_rank(n, k) + extra
+        x0 = rng.standard_normal((n, t_count))
+        x1 = rng.standard_normal((n, t_count))
+        kr = tc.khatri_rao_power(x0, k - 1)
+        weighted, root, columns = sysid._weighted_monomials(x0, k)
+        assert weighted.shape == (required_rank(n, k), t_count)
+        want = np.linalg.svd(kr, compute_uv=False)
+        got = np.linalg.svd(weighted, compute_uv=False)
+        assert np.allclose(got, want[:got.size], rtol=0, atol=1e-12 * want[0])
+        assert np.all(want[got.size:] <= 1e-12 * want[0])
+        # the gathered unfolding is X1 pinv(KR)
+        coeffs = x1 @ np.linalg.pinv(weighted)
+        unfolding = (coeffs / root)[:, columns]
+        expected = x1 @ np.linalg.pinv(kr)
+        assert np.linalg.norm(unfolding - expected) <= \
+            1e-10 * np.linalg.norm(expected)
+
+    def test_no_path_forms_the_khatri_rao_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Khatri-Rao power formed")
+
+        for name in ("khatri_rao_power", "khatri_rao"):
+            monkeypatch.setattr(tc, name, refuse)
+            monkeypatch.setattr(sysid, name, refuse, raising=False)
+        rng = np.random.default_rng(30)
+        truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
+        s = exact_autonomous_samples(truth, 16, 31)
+        assert check_identifiability_autonomous(s, 3).satisfied
+        for identify in (identify_full, identify_tt, identify_ht):
+            assert np.allclose(eval_derivative(identify(s, 3), s.X0[:, 0]),
+                               s.X1[:, 0], atol=1e-8)
+        _, io_samples, _, _ = io_setup(32)
+        assert check_identifiability_io(io_samples, 3).satisfied
+        identify_io(io_samples, 3)
+        identify_io_noisy(io_samples, 3)
+
+    def test_identify_full_memory_peak_at_n5_k7(self):
+        # the Khatri-Rao power alone would be 5^6 x 420 doubles, 52 MB
+        n, k = 5, 7
+        truth = tc.almost_symmetrize(
+            np.random.default_rng(33).standard_normal((n,) * k))
+        s = exact_autonomous_samples(truth, 2 * required_rank(n, k), 34)
+        tracemalloc.start()
+        try:
+            model = identify_full(s, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.allclose(eval_derivative(model, s.X0[:, 0]), s.X1[:, 0],
+                           atol=1e-8)
 
 
 def io_setup(seed, n=3, k=3, m=2, l=4, t_factor=3, tau=0.05, sigma=0.0,
