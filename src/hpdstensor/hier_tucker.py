@@ -14,16 +14,23 @@ relation that reconstructs exactly is
 with the left-child rank index fastest in G_Q's merged row index.  The
 reconstruction round-trip tests are the arbiter for this choice.  The root
 "factor" is vec(A) itself, absorbed into the root transfer by projection.
+
+A dense tensor is decomposed in one leaves-to-root climb: k leaf QRs over
+the n^k entries, one projection onto the leaf factors, then one SVD per
+internal node of a matrix with r_left * r_right rows.  With no tolerance
+given, each node's threshold is the default one at the shape of its dense
+unfolding, so every node rank is that unfolding's numerical rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kernels import RankTolerance, compact_svd
+from .kernels import RankTolerance, left_basis
 from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
@@ -31,6 +38,8 @@ __all__ = [
     "htd_reconstruct", "htd_eval_hpds", "htd_contract", "htd_sweep",
     "htd_param_count",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,8 @@ class DimensionTree:
 
     def __post_init__(self):
         k = len(self.root.modes)
+        if k < 2:
+            raise ArgumentError("dimension trees need order k >= 2")
         if sorted(self.root.modes) != list(range(1, k + 1)):
             raise ArgumentError("root must carry modes 1..k")
         for leaf in self.leaves():
@@ -104,11 +115,8 @@ class DimensionTree:
 def build_tree(k: int) -> DimensionTree:
     """Canonical balanced tree: split off the first ceil(s/2) modes at each
     internal node.  Its depth is ceil(log2 k)."""
-    if k < 2:
-        raise ArgumentError("dimension trees need order k >= 2")
-
     def split(modes: tuple[int, ...]) -> TreeNode:
-        if len(modes) == 1:
+        if len(modes) < 2:  # a leaf, or k < 2, which DimensionTree refuses
             return TreeNode(modes)
         half = (len(modes) + 1) // 2
         return TreeNode(modes, split(modes[:half]), split(modes[half:]))
@@ -137,11 +145,16 @@ class HTucker:
             raise ShapeError("dims length must match tree order")
         for node in self.tree.leaves():
             p = node.modes[0]
+            if p not in self.leaf_factors:
+                raise ShapeError(f"no leaf factor for mode {p}")
             u = np.asarray(self.leaf_factors[p], dtype=float)
             if u.ndim != 2 or u.shape[0] != self.dims[p - 1]:
                 raise ShapeError(f"leaf {p} factor must be "
                                  f"{self.dims[p - 1]} x r, got {u.shape}")
-        for node in self.tree.internal_nodes():
+        # children before parents, so that their ranks are known to exist
+        for node in reversed(self.tree.internal_nodes()):
+            if node.modes not in self.transfer:
+                raise ShapeError(f"no transfer matrix at node {node.modes}")
             g = np.asarray(self.transfer[node.modes], dtype=float)
             rl = self._rank(node.left)
             rr = self._rank(node.right)
@@ -158,10 +171,12 @@ class HTucker:
         return np.asarray(self.transfer[node.modes]).shape[1]
 
     def rank_of(self, modes) -> int:
-        modes = tuple(sorted(int(p) for p in modes))
-        if len(modes) == 1:
-            return np.asarray(self.leaf_factors[modes[0]]).shape[1]
-        return np.asarray(self.transfer[modes]).shape[1]
+        """Rank of the tree node that carries the given mode set."""
+        key = tuple(sorted(int(p) for p in modes))
+        for node, _ in self.tree.walk():
+            if tuple(sorted(node.modes)) == key:
+                return self._rank(node)
+        raise ArgumentError(f"mode set {key} is not a node of the tree")
 
     def max_rank(self) -> int:
         ranks = [np.asarray(u).shape[1] for u in self.leaf_factors.values()]
@@ -169,28 +184,54 @@ class HTucker:
         return max(ranks) if ranks else 0
 
 
-def _unfold_ordered(tensor: np.ndarray, row_order) -> np.ndarray:
-    """Unfold with rows psi-merged over ``row_order`` exactly as given;
-    columns merge the complement modes in increasing order."""
-    k = tensor.ndim
-    row_order = [int(p) for p in row_order]
-    cols = [p for p in range(1, k + 1) if p not in set(row_order)]
-    perm = [p - 1 for p in row_order + cols]
-    rows = int(np.prod([tensor.shape[p - 1] for p in row_order]))
-    return np.transpose(tensor, perm).reshape(rows, -1, order="F")
+def _node_tol(tol: RankTolerance | None, dims, modes) -> RankTolerance:
+    """``tol``, or the default threshold at the shape of the node's dense
+    unfolding, so that the smaller projected matrix keeps the same ranks."""
+    if tol is not None:
+        return tol
+    rows = math.prod(dims[p - 1] for p in modes)
+    return RankTolerance(value=max(rows, math.prod(dims) // rows) * _EPS)
 
 
-def _project_on_children(u_left: np.ndarray, u_right: np.ndarray,
-                         target: np.ndarray) -> np.ndarray:
-    """(U_Qr kron U_Ql)^T @ target without forming the Kronecker product."""
-    nl, rl = u_left.shape
-    nr, rr = u_right.shape
-    t3 = target.reshape(nl, nr, target.shape[1], order="F")
-    # two pairwise contractions, each one BLAS call
-    out = np.tensordot(np.tensordot(u_left, t3, axes=(0, 0)), u_right,
-                       axes=(1, 0))                          # (a, c, b)
-    return out.transpose(0, 2, 1).reshape(rl * rr, target.shape[1],
-                                          order="F")
+def _mode_unfolding(tensor: np.ndarray, p: int) -> np.ndarray:
+    """Mode-p unfolding with its columns in C order, so that its transpose
+    is the Fortran-ordered matrix the QR in :func:`left_basis` reads."""
+    return np.moveaxis(tensor, p - 1, 0).reshape(tensor.shape[p - 1], -1)
+
+
+def _climb(tensor: np.ndarray, tree: DimensionTree, leaf_factors: dict,
+           tol: RankTolerance | None) -> dict:
+    """Transfer matrices of ``tensor`` above the given leaf factors.
+
+    The tensor is projected onto every leaf factor, and the core's axes are
+    put in tree order, so that each node's children are adjacent axes.
+    Internal nodes are then visited from small to large: the node's transfer
+    is the left singular basis of its children's merged axes against the
+    rest of the core, which is projected onto it in turn.  The root's
+    transfer is the last core itself.
+    """
+    core = tensor
+    for p in range(1, tensor.ndim + 1):
+        # contracting axis 0 each time leaves the rank axes in mode order
+        core = np.tensordot(core, leaf_factors[p], axes=(0, 0))
+    order = tree.root.ordered_modes()
+    core = core.transpose([p - 1 for p in order])
+    axes = [(p,) for p in order]
+    transfer: dict[tuple[int, ...], np.ndarray] = {}
+    for node in sorted(tree.internal_nodes(), key=lambda q: len(q.modes)):
+        i = axes.index(node.left.modes)
+        rest = core.shape[:i] + core.shape[i + 2:]
+        # children's axes as rows, the left child's fastest
+        merged = np.moveaxis(core, (i + 1, i), (0, 1)).reshape(
+            core.shape[i] * core.shape[i + 1], math.prod(rest))
+        if node is tree.root:
+            transfer[node.modes] = merged
+            break
+        g = left_basis(merged, _node_tol(tol, tensor.shape, node.modes))
+        core = np.moveaxis((g.T @ merged).reshape((g.shape[1],) + rest), 0, i)
+        axes[i:i + 2] = [node.modes]
+        transfer[node.modes] = g
+    return transfer
 
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
@@ -207,11 +248,21 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
                   tol: RankTolerance | None = None) -> HTucker:
     """Decompose a dense tensor on the given (default balanced) tree.
 
-    Every non-root node's factor is the left singular basis of that node's
-    unfolding at the tolerance, so the hierarchical rank at a node equals
-    the numerical rank of its unfolding.  Transfers are the orthonormal
-    projections (U_Qr kron U_Ql)^T U_Q; the root projects vec(A) itself,
-    keeping the overall scale.  No symmetry is assumed.
+    One leaves-to-root climb (the hierarchical SVD of Grasedyck, SIAM J.
+    Matrix Anal. Appl. 2010).  Each leaf factor is the left singular basis
+    of its mode unfolding, taken through a QR of the unfolding's transpose,
+    so its SVD is n_p x n_p.  The tensor is then projected onto the leaf
+    factors; these k QRs and the first projection are the only work over
+    all n^k entries.  Each internal node, from small to large, takes the
+    left singular basis of the (r_left * r_right)-row matrix its children's
+    projections leave, and the core is projected onto that.  The root
+    transfer is what remains of vec(A), keeping the overall scale.
+
+    Without truncation the projections keep every singular value, so the
+    hierarchical rank at a node is the numerical rank of its dense
+    unfolding: with ``tol`` None each node's threshold is the default one at
+    that unfolding's shape, max(rows, n^k / rows) eps sigma_max.  A coarser
+    ``tol`` truncates every node at that tolerance.  No symmetry is assumed.
     """
     tensor = np.asarray(tensor, dtype=float)
     k = tensor.ndim
@@ -219,27 +270,11 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
         tree = build_tree(k)
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != tensor order {k}")
-
-    bases: dict[tuple[int, ...], np.ndarray] = {}
-    leaf_factors: dict[int, np.ndarray] = {}
-    for node, _ in tree.walk():
-        if node is tree.root:
-            continue
-        u = compact_svd(_unfold_ordered(tensor, node.ordered_modes()), tol).U
-        bases[node.modes] = u
-        if node.is_leaf:
-            leaf_factors[node.modes[0]] = u
-
-    transfer: dict[tuple[int, ...], np.ndarray] = {}
-    for node in tree.internal_nodes():
-        if node is tree.root:
-            target = _unfold_ordered(tensor, node.ordered_modes())  # vec(A)
-        else:
-            target = bases[node.modes]
-        transfer[node.modes] = _project_on_children(
-            bases[node.left.modes], bases[node.right.modes], target)
-
-    return HTucker(tree, tensor.shape, leaf_factors, transfer)
+    leaf_factors = {p: left_basis(_mode_unfolding(tensor, p),
+                                  _node_tol(tol, tensor.shape, (p,)))
+                    for p in range(1, k + 1)}
+    return HTucker(tree, tensor.shape, leaf_factors,
+                   _climb(tensor, tree, leaf_factors, tol))
 
 
 def _node_value(h: HTucker, node: TreeNode, leaf_values: dict) -> np.ndarray:

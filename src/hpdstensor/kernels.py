@@ -86,6 +86,24 @@ def compact_svd(matrix: np.ndarray, tol: RankTolerance | None = None) -> Compact
     return CompactSvd(u, s, v)
 
 
+def left_basis(matrix: np.ndarray,
+               tol: RankTolerance | None = None) -> np.ndarray:
+    """U of :func:`compact_svd`, without forming V.
+
+    A wide matrix A (m < n columns) is R^T Q^T for the QR factorization of
+    A^T, so it has the singular values and left singular vectors of the
+    m x m factor R^T; only that factor reaches the SVD.  The threshold
+    stays at A's shape.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    m, n = matrix.shape
+    if not 0 < m < n:
+        return compact_svd(matrix, tol).U
+    if tol is None:
+        tol = RankTolerance(value=n * _EPS)
+    return compact_svd(np.linalg.qr(matrix.T, mode="r").T, tol).U
+
+
 def numerical_rank(matrix: np.ndarray, tol: RankTolerance | None = None) -> int:
     return compact_svd(matrix, tol).rank
 

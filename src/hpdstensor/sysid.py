@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      ShapeError)
-from .hier_tucker import (DimensionTree, HTucker, _project_on_children,
-                          _unfold_ordered, build_tree)
-from .kernels import CompactSvd, RankTolerance, compact_svd, least_squares
+from .hier_tucker import DimensionTree, HTucker, _climb, build_tree
+from .kernels import (CompactSvd, RankTolerance, compact_svd, least_squares,
+                      left_basis)
 from .model import FORMATS, HpdsModel, SampleSet
 from .tensor_core import fold, multisets, unfold
 
@@ -178,12 +178,15 @@ def identify_tt(samples: SampleSet, k: int,
 def identify_ht(samples: SampleSet, k: int,
                 tree: DimensionTree | None = None,
                 tol: RankTolerance | None = None) -> HpdsModel:
-    """Recover the dynamics directly in hierarchical Tucker form.
+    """Recover the dynamics in hierarchical Tucker form.
 
-    Uses the almost-symmetry shortcut: the leaf factors of modes 1..k-1 are
-    all taken from the 1-mode unfolding of the recovered tensor, so they are
-    identical arrays; internal transfers come from per-node unfolding SVDs,
-    all at the recovery's conversion tolerance.
+    The recovered unfolding is first folded into the dense n^k tensor;
+    building the tree from the monomial coefficients without it is the open
+    second bullet of ROADMAP item 4.  Uses the almost-symmetry shortcut: the
+    leaf factors of modes 1..k-1 are all taken from the 1-mode unfolding of
+    that tensor, so they are identical arrays.  The transfers come from the
+    leaves-to-root climb of :func:`htd_decompose` above those leaves, all at
+    the recovery's conversion tolerance.
     """
     ak, conversion = _recover_unfolding(samples, k, tol)
     n = samples.X0.shape[0]
@@ -193,24 +196,11 @@ def identify_ht(samples: SampleSet, k: int,
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != k={k}")
 
-    u_last = compact_svd(ak, conversion).U                    # mode-k factor
-    u_first = compact_svd(unfold(tensor, {1}), conversion).U  # modes < k
+    u_first = left_basis(unfold(tensor, {1}), conversion)  # modes < k
     leaf_factors = {p: u_first for p in range(1, k)}
-    leaf_factors[k] = u_last
-
-    bases = {(p,): leaf_factors[p] for p in range(1, k + 1)}
-    transfer = {}
-    internals = sorted(tree.internal_nodes(), key=lambda q: len(q.modes))
-    for node in internals:
-        if node is tree.root:
-            target = _unfold_ordered(tensor, node.ordered_modes())
-        else:
-            target = compact_svd(
-                _unfold_ordered(tensor, node.ordered_modes()), conversion).U
-            bases[node.modes] = target
-        transfer[node.modes] = _project_on_children(
-            bases[node.left.modes], bases[node.right.modes], target)
-    ht = HTucker(tree, tensor.shape, leaf_factors, transfer)
+    leaf_factors[k] = left_basis(ak, conversion)
+    ht = HTucker(tree, tensor.shape, leaf_factors,
+                 _climb(tensor, tree, leaf_factors, conversion))
     return HpdsModel(k, n, ht)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.cli import run
-from hpdstensor.hier_tucker import htd_reconstruct
+from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
 from hpdstensor.model import HpdsModel, eval_derivative, simulate_discrete
 from hpdstensor.tensor_train import tt_reconstruct
 
@@ -165,6 +166,22 @@ def test_decompose_round_trip(tmp_path):
                 "--out", str(out_h)]) == 0
     h = serialize.ht_from_obj(serialize.read_json_file(str(out_h)))
     assert np.allclose(htd_reconstruct(h), t, atol=1e-10)
+
+
+def test_decompose_ht_truncates_at_tol(tmp_path):
+    clean = gen_instance("low_tt", 4, 5, rank_cap=2, seed=3).dense
+    noise = np.random.default_rng(51).standard_normal(clean.shape)
+    src = tmp_path / "T.json"
+    serialize.write_tensor_file(str(src), clean + 1e-10 * noise)
+    out = tmp_path / "T_ht.json"
+    assert run(["decompose", "--tensor", str(src), "--method", "ht",
+                "--tol", "1e-6", "--out", str(out)]) == 0
+    h = serialize.ht_from_obj(serialize.read_json_file(str(out)))
+    want = htd_decompose(clean)
+    for node, _ in h.tree.walk():
+        assert h.rank_of(node.modes) == want.rank_of(node.modes)
+    assert np.linalg.norm(htd_reconstruct(h) - clean) <= \
+        1e-8 * np.linalg.norm(clean)
 
 
 def test_bench_memory_csv(tmp_path):

@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
-from hpdstensor.hier_tucker import (DimensionTree, TreeNode,
+from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
                                     build_tree, htd_contract, htd_decompose,
                                     htd_eval_hpds, htd_param_count,
                                     htd_reconstruct)
-from hpdstensor.kernels import numerical_rank
+from hpdstensor.kernels import (RankTolerance, numerical_rank,
+                                orthonormal_deviation)
 from hpdstensor.tensor_train import tt_decompose, tt_eval_hpds, tt_contract
 
 from test_tensor_train import dense_contraction_oracle, random_tensor
@@ -37,9 +43,75 @@ class TestBuildTree:
         with pytest.raises(ArgumentError):
             build_tree(1)
         with pytest.raises(ArgumentError):
+            DimensionTree(TreeNode((1,)))  # a root with no transfer
+        with pytest.raises(ArgumentError):
             DimensionTree(TreeNode((1, 2)))  # non-singleton leaf
         with pytest.raises(ArgumentError):
             TreeNode((1, 2), TreeNode((1,)), TreeNode((3,)))
+
+
+def interleaved_tree(k):
+    """Odd modes under the root's left child, even modes under its right,
+    so that no internal node but the root spans contiguous modes."""
+    def split(modes):
+        if len(modes) == 1:
+            return TreeNode(modes)
+        half = (len(modes) + 1) // 2
+        return TreeNode(modes, split(modes[:half]), split(modes[half:]))
+
+    return DimensionTree(TreeNode(tuple(range(1, k + 1)),
+                                  split(tuple(range(1, k + 1, 2))),
+                                  split(tuple(range(2, k + 1, 2)))))
+
+
+def ordered_unfolding(t, row_modes):
+    """Rows psi-merged over ``row_modes`` in the given order, columns over
+    the remaining modes in increasing order."""
+    cols = [p for p in range(1, t.ndim + 1) if p not in row_modes]
+    rows = int(np.prod([t.shape[p - 1] for p in row_modes]))
+    perm = [p - 1 for p in list(row_modes) + cols]
+    return np.transpose(t, perm).reshape(rows, -1, order="F")
+
+
+def node_basis(h, node):
+    """U_Q expanded from the tree: a leaf factor, or (U_right kron U_left)
+    times the node's transfer matrix."""
+    if node.is_leaf:
+        return h.leaf_factors[node.modes[0]]
+    return np.kron(node_basis(h, node.right), node_basis(h, node.left)) @ \
+        h.transfer[node.modes]
+
+
+def assert_nested(h, t):
+    """Every non-root node basis built through the transfers is
+    orthonormal and spans its dense unfolding's column space."""
+    scale = max(np.linalg.norm(t), 1.0)
+    for node, _ in h.tree.walk():
+        if node is h.tree.root:
+            continue
+        u = node_basis(h, node)
+        assert orthonormal_deviation(u) <= 1e-12, node.modes
+        a = ordered_unfolding(t, node.ordered_modes())
+        assert np.linalg.norm(a - u @ (u.T @ a)) <= 1e-12 * scale, node.modes
+
+
+@st.composite
+def decomposable(draw):
+    """A tensor of order 2-6 and a balanced or interleaved tree for it."""
+    kind = draw(st.sampled_from(
+        ("symmetric", "generic", "low_tt", "low_ht", "zero")))
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2 ** 16))
+    if kind == "generic":
+        dims = tuple(draw(st.integers(2, 5)) for _ in range(k))
+        t = np.random.default_rng(seed).standard_normal(dims)
+    elif kind == "zero":
+        t = np.zeros((n,) * k)
+    else:
+        cap = draw(st.integers(1, 3))
+        t = gen_instance(kind, n, k, rank_cap=cap, seed=seed).dense
+    tree = draw(st.sampled_from((build_tree, interleaved_tree)))(k)
+    return t, tree
 
 
 class TestDecompose:
@@ -56,34 +128,23 @@ class TestDecompose:
         h = htd_decompose(t)
         assert np.linalg.norm(htd_reconstruct(h) - t) <= 1e-10
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 4), (2,) * 5, (2,) * 6,
-                                       (3, 3, 3)])
-    def test_round_trip_general_shapes(self, shape):
-        t = random_tensor(shape, sum(shape))
-        h = htd_decompose(t)
-        assert np.allclose(htd_reconstruct(h), t, atol=1e-10)
-
-    def test_node_rank_equals_unfolding_rank(self):
-        t = random_tensor((2, 2, 2, 2), 31)
-        h = htd_decompose(t)
-        for node, _ in h.tree.walk():
-            if node is h.tree.root:
-                continue
-            assert h.rank_of(node.modes) == numerical_rank(
-                tc.unfold(t, node.modes)), node.modes
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=decomposable())
+    def test_node_rank_equals_unfolding_rank(self, case):
+        # ranks, round trip and nestedness on any shape and tree
+        t, tree = case
+        h = htd_decompose(t, tree=tree)
+        for node, _ in tree.walk():
+            if node is not tree.root:
+                assert h.rank_of(node.modes) == numerical_rank(
+                    tc.unfold(t, node.modes)), node.modes
+        assert np.linalg.norm(htd_reconstruct(h) - t) <= \
+            1e-12 * np.linalg.norm(t)
+        assert_nested(h, t)
 
     def test_nestedness_containment(self):
         t = random_tensor((2,) * 5, 32)
-        h = htd_decompose(t)
-        for node in h.tree.internal_nodes():
-            if node is h.tree.root:
-                continue
-            u_q = htd_reconstruct_node_basis(h, t, node)
-            ul = basis_of(h, t, node.left)
-            ur = basis_of(h, t, node.right)
-            big = np.kron(ur, ul)
-            resid = u_q - big @ (big.T @ u_q)
-            assert np.max(np.abs(resid)) <= 1e-10
+        assert_nested(htd_decompose(t), t)
 
     def test_tree_order_mismatch(self):
         with pytest.raises(ShapeError):
@@ -92,6 +153,14 @@ class TestDecompose:
     def test_zero_tensor(self):
         h = htd_decompose(np.zeros((2, 2, 2)))
         assert not np.any(htd_reconstruct(h))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 4), (2,) * 5, (2,) * 6,
+                                       (3, 3, 3)])
+    def test_round_trip_general_shapes(self, shape):
+        t = random_tensor(shape, sum(shape))
+        h = htd_decompose(t)
+        assert np.allclose(htd_reconstruct(h), t, atol=1e-10)
+        assert_nested(h, t)
 
     def test_custom_non_contiguous_tree(self):
         # user-supplied trees with interleaved modes are accepted and exact
@@ -102,16 +171,64 @@ class TestDecompose:
         t = random_tensor((2, 3, 2, 3), 33)
         h = htd_decompose(t, tree=tree)
         assert np.allclose(htd_reconstruct(h), t, atol=1e-10)
+        assert_nested(h, t)
+
+    def test_no_svd_larger_than_two_child_ranks(self, monkeypatch):
+        # each node is decided on the r_left * r_right rows left after
+        # projecting onto its children, never on a dense unfolding
+        dense = gen_instance("low_tt", 8, 6, rank_cap=4).dense
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        h = htd_decompose(dense)
+        widest = max(h.rank_of(q.left.modes) * h.rank_of(q.right.modes)
+                     for q in h.tree.internal_nodes())
+        assert widest == 64
+        assert len(shapes) == 2 * 6 - 2  # every node but the root
+        assert max(max(shape) for shape in shapes) <= widest
+
+    def test_truncation_drops_the_noise(self):
+        clean = gen_instance("low_tt", 4, 5, rank_cap=2, seed=3).dense
+        noise = np.random.default_rng(51).standard_normal(clean.shape)
+        noisy = clean + 1e-10 * noise
+        want = htd_decompose(clean)
+        h = htd_decompose(noisy, tol=RankTolerance(value=1e-6))
+        nodes = [q for q, _ in h.tree.walk() if q is not h.tree.root]
+        assert [h.rank_of(q.modes) for q in nodes] == \
+            [want.rank_of(q.modes) for q in nodes]
+        # the default threshold keeps the noise
+        assert htd_param_count(htd_decompose(noisy)) > htd_param_count(h)
+        assert np.linalg.norm(htd_reconstruct(h) - clean) <= \
+            1e-8 * np.linalg.norm(clean)
 
 
-def basis_of(h, t, node):
-    from hpdstensor.hier_tucker import _unfold_ordered
-    from hpdstensor.kernels import compact_svd
-    return compact_svd(_unfold_ordered(t, node.ordered_modes())).U
+class TestTypedErrors:
+    def parts(self):
+        h = htd_decompose(random_tensor((2, 2, 2, 2), 52))
+        return h, dict(h.leaf_factors), dict(h.transfer)
 
+    def test_missing_leaf_factor(self):
+        h, leaves, transfer = self.parts()
+        del leaves[3]
+        with pytest.raises(ShapeError, match="mode 3"):
+            HTucker(h.tree, h.dims, leaves, transfer)
 
-def htd_reconstruct_node_basis(h, t, node):
-    return basis_of(h, t, node)
+    def test_missing_transfer_matrix(self):
+        h, leaves, transfer = self.parts()
+        del transfer[(3, 4)]
+        with pytest.raises(ShapeError, match=r"\(3, 4\)"):
+            HTucker(h.tree, h.dims, leaves, transfer)
+
+    @pytest.mark.parametrize("modes", [(1, 3), (5,)])
+    def test_rank_of_a_mode_set_off_the_tree(self, modes):
+        h, _, _ = self.parts()
+        with pytest.raises(ArgumentError, match=re.escape(str(modes))):
+            h.rank_of(modes)
 
 
 class TestReconstruct:
