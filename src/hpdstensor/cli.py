@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 
 from . import analysis, benchmarks, serialize
@@ -179,7 +179,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand names its
+    ``cmd_*`` handler, which :func:`run` looks up at call time, so a wrapper
+    rebound on this module (as a tracer installs) is the one called."""
     parser = argparse.ArgumentParser(
         prog="hpdstensor",
         description="Identify and analyze homogeneous polynomial dynamical "
@@ -199,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-std", type=float, default=0.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(handler="cmd_simulate")
 
     ident = sub.add_parser("identify", help="fit a model from a trajectory csv")
     ident.add_argument("--data", required=True)
@@ -209,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use the input-output regression path")
     ident.add_argument("--tol", type=float)
     ident.add_argument("--out", required=True)
-    ident.set_defaults(func=cmd_identify)
+    ident.set_defaults(handler="cmd_identify")
 
     ana = sub.add_parser("analyze", help="controllability or observability")
     ana_sub = ana.add_subparsers(dest="what", required=True)
@@ -221,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--timing", action="store_true",
                      help="record wall time (breaks byte determinism)")
     con.add_argument("--out", required=True)
-    con.set_defaults(func=cmd_analyze_controllability)
+    con.set_defaults(handler="cmd_analyze_controllability")
 
     obs = ana_sub.add_parser("observability")
     obs.add_argument("--model", required=True)
@@ -233,14 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--tol", type=float)
     obs.add_argument("--timing", action="store_true")
     obs.add_argument("--out", required=True)
-    obs.set_defaults(func=cmd_analyze_observability)
+    obs.set_defaults(handler="cmd_analyze_observability")
 
     dec = sub.add_parser("decompose", help="decompose a dense tensor json")
     dec.add_argument("--tensor", required=True)
     dec.add_argument("--method", choices=["tt", "ht"], required=True)
     dec.add_argument("--tol", type=float)
     dec.add_argument("--out", required=True)
-    dec.set_defaults(func=cmd_decompose)
+    dec.set_defaults(handler="cmd_decompose")
 
     bench = sub.add_parser("bench", help="memory or timing comparison csv")
     bench.add_argument("mode", choices=["memory", "time"])
@@ -256,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--tol", type=float)
     bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(handler="cmd_bench")
 
     return parser
 
@@ -268,7 +272,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (DivergenceError, NumericError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -35,8 +35,8 @@ from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
-    "htd_reconstruct", "htd_eval_hpds", "htd_contract", "htd_sweep",
-    "htd_param_count",
+    "htd_reconstruct", "htd_eval_hpds", "htd_evaluator", "htd_contract",
+    "htd_sweep", "htd_param_count",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -235,13 +235,43 @@ def _climb(tensor: np.ndarray, tree: DimensionTree, leaf_factors: dict,
 
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
-                g: np.ndarray) -> np.ndarray:
-    """(right_val kron left_val) @ g with the left factor's indices fastest."""
-    al, rl = left_val.shape
-    ar, rr = right_val.shape
-    g3 = g.reshape(rl, rr, g.shape[1], order="F")
+                g3: np.ndarray) -> np.ndarray:
+    """(right_val kron left_val) @ G with the left factor's indices fastest,
+    for G's rows split as ``g3`` (r_left, r_right, r)."""
     out = np.einsum("ab,bdc,ed->aec", left_val, g3, right_val)
-    return out.reshape(al * ar, g.shape[1], order="F")
+    return out.reshape(left_val.shape[0] * right_val.shape[0], g3.shape[2],
+                       order="F")
+
+
+def _post_order(h: HTucker) -> list:
+    """The tree as a program: leaves as their mode p and internal nodes as
+    their transfer split for :func:`_kron_apply`, children first."""
+    program = []
+
+    def visit(node: TreeNode):
+        if node.is_leaf:
+            program.append(node.modes[0])
+            return
+        visit(node.left)
+        visit(node.right)
+        g = np.asarray(h.transfer[node.modes], dtype=float)
+        program.append(g.reshape(h._rank(node.left), h._rank(node.right),
+                                 g.shape[1], order="F"))
+
+    visit(h.tree.root)
+    return program
+
+
+def _run(program: list, leaf_values: dict) -> np.ndarray:
+    """The root value of a :func:`_post_order` program."""
+    stack = []
+    for step in program:
+        if isinstance(step, int):
+            stack.append(leaf_values[step])
+        else:
+            right = stack.pop()
+            stack.append(_kron_apply(stack.pop(), right, step))
+    return stack[0]
 
 
 def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
@@ -277,20 +307,11 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
                    _climb(tensor, tree, leaf_factors, tol))
 
 
-def _node_value(h: HTucker, node: TreeNode, leaf_values: dict) -> np.ndarray:
-    if node.is_leaf:
-        return leaf_values[node.modes[0]]
-    left = _node_value(h, node.left, leaf_values)
-    right = _node_value(h, node.right, leaf_values)
-    return _kron_apply(left, right,
-                       np.asarray(h.transfer[node.modes], dtype=float))
-
-
 def htd_reconstruct(h: HTucker) -> np.ndarray:
     """Expand the tree back into a dense tensor."""
     leaf_values = {p: np.asarray(u, dtype=float)
                    for p, u in h.leaf_factors.items()}
-    vec = _node_value(h, h.tree.root, leaf_values)
+    vec = _run(_post_order(h), leaf_values)
     order = h.tree.root.ordered_modes()
     shaped = vec.reshape([h.dims[p - 1] for p in order], order="F")
     return np.transpose(shaped, np.argsort([p - 1 for p in order]))
@@ -347,14 +368,33 @@ def htd_eval_hpds(h: HTucker, x: np.ndarray) -> np.ndarray:
     propagate up the tree through the transfer matrices; leaf k keeps its
     full factor, so the root value is the n-vector indexed by mode k.
     """
-    n, k = _require_cubical(h.dims)
+    n, _ = _require_cubical(h.dims)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    leaf_values = {p: x[None, :] @ np.asarray(h.leaf_factors[p], dtype=float)
-                   for p in range(1, k)}
-    leaf_values[k] = np.asarray(h.leaf_factors[k], dtype=float)
-    return _node_value(h, h.tree.root, leaf_values).ravel()
+    return htd_evaluator(h)(x)
+
+
+def htd_evaluator(h: HTucker):
+    """``x -> A_(k) x^[k-1]`` on the tree, laid out once.
+
+    The tree is walked once into a post-order program with every transfer
+    already split for the node product; the returned function substitutes
+    x^T U_p at leaves p < k and runs the program.  It takes a float
+    n-vector and checks nothing.
+    """
+    _, k = _require_cubical(h.dims)
+    program = _post_order(h)
+    factors = {p: np.asarray(u, dtype=float)
+               for p, u in h.leaf_factors.items()}
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        row = x[None, :]
+        leaf_values = {p: row @ factors[p] for p in range(1, k)}
+        leaf_values[k] = factors[k]
+        return _run(program, leaf_values).ravel()
+
+    return evaluate
 
 
 def htd_param_count(h: HTucker) -> int:

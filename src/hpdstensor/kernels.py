@@ -104,6 +104,31 @@ def left_basis(matrix: np.ndarray,
     return compact_svd(np.linalg.qr(matrix.T, mode="r").T, tol).U
 
 
+def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """V and U S of :func:`compact_svd`, without forming U.
+
+    A tall matrix A (m > n rows) is Q R, so it has the singular values and
+    right singular vectors of the n x n factor R; only that factor reaches
+    the SVD, and U S is A V.  The threshold stays at A's shape, and each
+    column of A V has its largest-magnitude entry positive, the sign rule
+    of :func:`compact_svd`, with V's columns flipped alongside.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    m, n = matrix.shape
+    if not m > n > 0:
+        svd = compact_svd(matrix, tol)
+        return svd.V, svd.U * svd.S
+    if tol is None:
+        tol = RankTolerance(value=m * _EPS)
+    v = compact_svd(np.linalg.qr(matrix, mode="r"), tol).V
+    us = matrix @ v
+    flip = us[np.argmax(np.abs(us), axis=0), np.arange(us.shape[1])] < 0
+    us[:, flip] = -us[:, flip]
+    v[:, flip] = -v[:, flip]
+    return v, us
+
+
 def numerical_rank(matrix: np.ndarray, tol: RankTolerance | None = None) -> int:
     return compact_svd(matrix, tol).rank
 

@@ -3,11 +3,13 @@
 A model is ``dx/dt = A x^{k-1} + B u`` with outputs ``y = C x``; the dynamic
 tensor A may live in full, tensor-train, or hierarchical Tucker form.
 :data:`FORMATS` is the one place that knows the three forms: per format name
-it gives the dims, the contraction kernel, evaluator, parameter count,
-maximal rank and conversion from a dense tensor, and :func:`format_of` names
-the format of a dynamics object.  Sampled trajectories are held in
-:class:`SampleSet` matrices matching the data layout used by the
-identification routines.
+it gives the dims, the contraction kernel, the evaluator that simulation
+steps on, parameter count, maximal rank and conversion from a dense tensor,
+and :func:`format_of` names the format of a dynamics object.  Sampled
+trajectories are held in :class:`SampleSet` matrices matching the data
+layout used by the identification routines.  A simulation prepares its
+model's evaluator once and checks its initial state and inputs once; each
+step then checks only that the state stayed finite.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, DivergenceError, ShapeError
-from .hier_tucker import (HTucker, htd_decompose, htd_eval_hpds,
+from .hier_tucker import (HTucker, htd_decompose, htd_evaluator,
                           htd_param_count, htd_sweep)
 from .kernels import numerical_rank
 from .randomness import gaussian
-from .tensor_core import hpds_eval_full, sweep_leading, unfold
-from .tensor_train import (TensorTrain, tt_decompose, tt_eval_hpds,
+from .tensor_core import hpds_evaluator, sweep_leading, unfold
+from .tensor_train import (TensorTrain, tt_decompose, tt_evaluator,
                            tt_param_count, tt_sweep)
 
 __all__ = ["Format", "FORMATS", "format_of", "HpdsModel", "SampleSet",
@@ -42,17 +44,18 @@ class Format:
     wherever two argument indices meet (the running message and mode p's
     columns, or two children of a tree node) and going on with the (a', m)
     array it returns; it gives the n x a' matrix with rows indexed by mode
-    k.  ``evaluate(dynamics, x)`` is
-    A x^[k-1], ``param_count`` the number of stored entries, ``max_rank`` the
-    largest rank of the format (the k-mode unfolding rank of a dense
-    tensor), and ``from_dense(tensor, tol)`` builds the format from a dense
-    tensor.
+    k.  ``evaluator(dynamics)`` lays the format's arrays out once and returns
+    the map ``x -> A x^[k-1]`` on float n-vectors, which checks nothing and
+    is what simulation steps on.  ``param_count`` is the number of stored
+    entries, ``max_rank`` the largest rank of the format (the k-mode
+    unfolding rank of a dense tensor), and ``from_dense(tensor, tol)``
+    builds the format from a dense tensor.
     """
 
     cast: Callable
     dims: Callable
     sweep: Callable
-    evaluate: Callable
+    evaluator: Callable
     param_count: Callable
     max_rank: Callable
     from_dense: Callable
@@ -65,19 +68,19 @@ FORMATS = {
     "full": Format(
         cast=lambda t: np.asarray(t, dtype=float), dims=np.shape,
         sweep=lambda t, mats, merge: sweep_leading(t, mats, merge),
-        evaluate=hpds_eval_full, param_count=np.size,
+        evaluator=hpds_evaluator, param_count=np.size,
         max_rank=lambda t: numerical_rank(unfold(t, {t.ndim})),
         from_dense=lambda t, tol: np.asarray(t, dtype=float)),
     "tt": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
         sweep=lambda d, mats, merge: tt_sweep(d, mats, merge),
-        evaluate=tt_eval_hpds, param_count=tt_param_count,
+        evaluator=tt_evaluator, param_count=tt_param_count,
         max_rank=lambda d: max(d.ranks),
         from_dense=lambda t, tol: tt_decompose(t, tol=tol)),
     "ht": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
         sweep=lambda d, mats, merge: htd_sweep(d, mats, merge),
-        evaluate=htd_eval_hpds, param_count=htd_param_count,
+        evaluator=htd_evaluator, param_count=htd_param_count,
         max_rank=lambda d: d.max_rank(),
         from_dense=lambda t, tol: htd_decompose(t, tol=tol)),
 }
@@ -185,7 +188,9 @@ def eval_derivative(model: HpdsModel, x: np.ndarray,
                     u: np.ndarray | None = None) -> np.ndarray:
     """dx/dt at state x (plus B u when an input is given)."""
     x = np.asarray(x, dtype=float).ravel()
-    dx = FORMATS[model.representation].evaluate(model.dynamics, x)
+    if x.shape[0] != model.n:
+        raise ShapeError(f"state length {x.shape[0]} != dimension {model.n}")
+    dx = FORMATS[model.representation].evaluator(model.dynamics)(x)
     if u is not None:
         if model.B is None:
             raise ArgumentError("input given but the model has no B matrix")
@@ -196,17 +201,30 @@ def eval_derivative(model: HpdsModel, x: np.ndarray,
     return dx
 
 
-def _input_columns(u, steps: int):
-    if u is None:
-        return None
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[1] < steps:
-        raise ShapeError(f"need {steps} input samples, got {u.shape[1]}")
-    return u
+def _start(model: HpdsModel, x0: np.ndarray, u, tau: float, steps: int):
+    """The checked initial state and input columns of a simulation, and the
+    model's evaluator, which the steps then call on raw arrays."""
+    if steps < 1:
+        raise ArgumentError("need at least one sample")
+    if not tau > 0:
+        raise ArgumentError("tau must be positive")
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.shape[0] != model.n:
+        raise ShapeError(f"x0 length {x.shape[0]} != n={model.n}")
+    if u is not None:
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        if u.shape[1] < steps:
+            raise ShapeError(f"need {steps} input samples, got {u.shape[1]}")
+        if model.B is None:
+            raise ArgumentError("input given but the model has no B matrix")
+        if u.shape[0] != model.B.shape[1]:
+            raise ShapeError(
+                f"input length {u.shape[0]} != m={model.B.shape[1]}")
+    return x, u, FORMATS[model.representation].evaluator(model.dynamics)
 
 
 def _check_finite(x: np.ndarray, step: int):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(step)
 
 
@@ -221,20 +239,17 @@ def simulate_continuous(model: HpdsModel, x0: np.ndarray,
     """
     if method not in ("rk4", "euler"):
         raise ArgumentError(f"unknown method {method!r}")
-    if steps < 1:
-        raise ArgumentError("need at least one sample")
-    if not tau > 0:
-        raise ArgumentError("tau must be positive")
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.shape[0] != model.n:
-        raise ShapeError(f"x0 length {x.shape[0]} != n={model.n}")
-    uu = _input_columns(u, steps)
+    x, uu, evaluate = _start(model, x0, u, tau, steps)
 
     states = np.zeros((model.n, steps))
     derivs = np.zeros((model.n, steps))
     for i in range(steps):
-        ui = None if uu is None else uu[:, i]
-        f = lambda z: eval_derivative(model, z, ui)
+        if uu is None:
+            f = evaluate
+        else:
+            # the held input's B u joins every stage's derivative
+            bu = model.B @ uu[:, i].ravel()
+            f = lambda z, bu=bu: evaluate(z) + bu
         states[:, i] = x
         derivs[:, i] = f(x)
         _check_finite(derivs[:, i], i)
@@ -264,14 +279,7 @@ def simulate_discrete(model: HpdsModel, x0: np.ndarray,
     X0 carries x[0..T-1], X1 the shifted states x[1..T], U0 the applied
     inputs, and Y0 = C X0 when the model has an output matrix.
     """
-    if steps < 1:
-        raise ArgumentError("need at least one sample")
-    if not tau > 0:
-        raise ArgumentError("tau must be positive")
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.shape[0] != model.n:
-        raise ShapeError(f"x0 length {x.shape[0]} != n={model.n}")
-    uu = _input_columns(u, steps)
+    x, uu, evaluate = _start(model, x0, u, tau, steps)
 
     states = np.zeros((model.n, steps))
     nxt = np.zeros((model.n, steps))
@@ -279,10 +287,8 @@ def simulate_discrete(model: HpdsModel, x0: np.ndarray,
         states[:, i] = x
         # tau scales the polynomial drift only; the input enters unscaled,
         # matching the finite-difference map the io identification inverts
-        x = x + tau * eval_derivative(model, x, None)
+        x = x + tau * evaluate(x)
         if uu is not None:
-            if model.B is None:
-                raise ArgumentError("input given but the model has no B matrix")
             x = x + model.B @ uu[:, i]
         _check_finite(x, i + 1)
         nxt[:, i] = x

@@ -238,7 +238,7 @@ def write_trajectory_csv(path: str, samples: SampleSet):
     """
     if samples.X0 is None:
         raise ArgumentError("trajectory output needs states X0")
-    n, t_count = samples.X0.shape
+    n = samples.X0.shape[0]
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
     columns = [samples.X0]
     if samples.X1 is not None and samples.x1_kind == "derivative":
@@ -250,12 +250,13 @@ def write_trajectory_csv(path: str, samples: SampleSet):
     if samples.Y0 is not None:
         header += [f"y{i + 1}" for i in range(samples.Y0.shape[0])]
         columns.append(samples.Y0)
+    # one format string per row, applied to Python floats: the text of
+    # format_float, without a NumPy scalar per value
+    line = ",".join(["{:.17g}"] * len(header))
+    tau = float(samples.tau)
+    rows = np.vstack(columns).T.tolist()
     lines = [",".join(header)]
-    for i in range(t_count):
-        row = [format_float(i * samples.tau)]
-        for block in columns:
-            row.extend(format_float(v) for v in block[:, i])
-        lines.append(",".join(row))
+    lines += [line.format(i * tau, *row) for i, row in enumerate(rows)]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

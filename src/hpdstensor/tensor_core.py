@@ -196,14 +196,34 @@ def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
     the output.  For k = 2 this is the 2-mode matricization times x.
     """
     tensor = np.asarray(tensor, dtype=float)
-    n, k = _require_cubical(tensor.shape)
+    n, _ = _require_cubical(tensor.shape)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    out = tensor
-    for _ in range(k - 1):
-        out = np.tensordot(x, out, axes=(0, 0))
-    return out
+    return hpds_evaluator(tensor)(x)
+
+
+def hpds_evaluator(tensor: np.ndarray):
+    """``x -> A_(k) x^[k-1]`` on a cubical order-k tensor, laid out once.
+
+    Each contraction of the leading mode with x is the one BLAS product
+    ``np.tensordot(x, out, axes=(0, 0))`` makes, (1 x n) times
+    (n x n^(p-1)), without its per-call transposes and shape bookkeeping;
+    the tensor's n x n^(k-1) matrix is made here.  The returned function
+    takes a float n-vector and checks nothing.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    n, k = _require_cubical(tensor.shape)
+    first = tensor.reshape(n, -1)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        row = x.reshape(1, n)
+        out = first
+        for _ in range(k - 1):
+            out = np.dot(row, out.reshape(n, -1))
+        return out.reshape(n)
+
+    return evaluate
 
 
 def _sweep_matrices(mats, n: int, k: int) -> list[np.ndarray]:

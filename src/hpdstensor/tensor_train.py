@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kernels import RankTolerance, compact_svd
+from .kernels import RankTolerance, right_basis
 from .tensor_core import (_keep_every_row, _require_cubical, _sweep_matrices,
                           unfold)
 
 __all__ = [
     "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_eval_hpds",
-    "tt_contract", "tt_sweep", "tt_param_count", "tt_zero",
+    "tt_evaluator", "tt_contract", "tt_sweep", "tt_param_count", "tt_zero",
 ]
 
 
@@ -74,6 +74,8 @@ def tt_decompose(source: np.ndarray, dims=None,
     (n_k x n_1 ... n_{k-1}, psi column order) together with ``dims``.
     Interior ranks equal the numerical ranks of the sequential unfoldings
     A_({1..p}), and reconstruction matches the input up to the tolerance.
+    A tall step matrix reaches its SVD as the triangular factor of its QR
+    (:func:`kernels.right_basis`), so no SVD has more than n * max rank rows.
     """
     source = np.asarray(source, dtype=float)
     if dims is None:
@@ -100,12 +102,11 @@ def tt_decompose(source: np.ndarray, dims=None,
     r_right = 1
     for p in range(k, 1, -1):
         # c rows merge modes 1..p-1, columns merge (i_p, alpha_p), i_p fastest
-        svd = compact_svd(c, tol)
-        if svd.rank == 0:
+        v, c = right_basis(c, tol)
+        r_left = v.shape[1]
+        if r_left == 0:
             return tt_zero(dims)
-        r_left = svd.rank
-        cores[p - 1] = svd.V.T.reshape(r_left, dims[p - 1], r_right, order="F")
-        c = svd.U * svd.S
+        cores[p - 1] = v.T.reshape(r_left, dims[p - 1], r_right, order="F")
         if p > 2:
             c = c.reshape(-1, dims[p - 2] * r_left, order="F")
         r_right = r_left
@@ -128,14 +129,35 @@ def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
     the resulting rank-space matrices are chained, and the last core closes
     the chain as its (r_{k-1} x n) matrix slice.
     """
-    n, k = _require_cubical(train.dims)
+    n, _ = _require_cubical(train.dims)
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != n:
         raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    msg = np.ones(1)
-    for core in train.cores[:-1]:
-        msg = msg @ np.tensordot(x, core, axes=(0, 1))
-    return msg @ train.cores[-1][:, :, 0]
+    return tt_evaluator(train)(x)
+
+
+def tt_evaluator(train: TensorTrain):
+    """``x -> A_(k) x^[k-1]`` on the cores, laid out once.
+
+    Core p < k is kept as the n x (r_{p-1} r_p) matrix that
+    ``np.tensordot(x, core, axes=(0, 1))`` would build on every call (not
+    made contiguous: its layout decides the bits of the BLAS product), so
+    each step is one (1 x n) product and one rank-space product.  The
+    returned function takes a float n-vector and checks nothing.
+    """
+    n, _ = _require_cubical(train.dims)
+    steps = [(core.transpose(1, 0, 2).reshape(n, -1),
+              (core.shape[0], core.shape[2])) for core in train.cores[:-1]]
+    last = train.cores[-1][:, :, 0]
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        row = x.reshape(1, n)
+        msg = np.ones(1)
+        for mat, shape in steps:
+            msg = msg @ np.dot(row, mat).reshape(shape)
+        return msg @ last
+
+    return evaluate
 
 
 def tt_sweep(train: TensorTrain, mats, merge) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hpdstensor import serialize
+from hpdstensor import cli, serialize
 from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.cli import run
@@ -258,3 +258,64 @@ def test_tolerance_env_fallback(workspace, tmp_path, monkeypatch):
     assert run(["analyze", "controllability", "--model", str(paths["model"]),
                 "--B", str(paths["B"]), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["rank"] < base_rank
+
+
+def _io_round_trip(paths, u_csv, out_dir, repr_name):
+    """simulate -> identify --io -> analyze, as argv lists and out files."""
+    out = {name: out_dir / name for name in
+           ("traj.csv", "fit.json", "con.json", "obs.json")}
+    return [
+        ["simulate", "--model", str(paths["model"]), "--x0", str(paths["x0"]),
+         "--input", str(u_csv), "--tau", "0.05", "--steps", "30",
+         "--method", "discrete", "--noise-std", "1e-6", "--seed", "3",
+         "--out", str(out["traj.csv"])],
+        ["identify", "--data", str(out["traj.csv"]), "--order", "3", "--io",
+         "--repr", repr_name, "--out", str(out["fit.json"])],
+        ["analyze", "controllability", "--model", str(out["fit.json"]),
+         "--out", str(out["con.json"])],
+        ["analyze", "observability", "--model", str(out["fit.json"]),
+         "--x", str(paths["x0"]), "--out", str(out["obs.json"])],
+    ], out
+
+
+@pytest.mark.parametrize("repr_name", ["full", "tt", "ht"])
+def test_in_process_reruns_are_byte_identical(workspace, tmp_path, repr_name,
+                                              capsys):
+    _, paths = workspace
+    u = 0.1 * np.random.default_rng(2).standard_normal((30, 2))
+    u_csv = tmp_path / "u.csv"
+    u_csv.write_text("\n".join(",".join(serialize.format_float(v) for v in row)
+                               for row in u) + "\n")
+    blobs = []
+    for attempt in range(3):
+        out_dir = tmp_path / f"run{attempt}"
+        out_dir.mkdir()
+        commands, out = _io_round_trip(paths, u_csv, out_dir, repr_name)
+        assert [run(argv) for argv in commands] == [0, 0, 0, 0]
+        blobs.append({name: path.read_bytes() for name, path in out.items()})
+        # a failed parse and a --help between runs leave the parser as it was
+        assert run(["simulate", "--model", str(paths["model"]),
+                    "--steps", "ten"]) == 1
+        assert run(["identify", "--help"]) == 0
+    capsys.readouterr()
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_handlers_are_looked_up_at_call_time(workspace, tmp_path,
+                                             monkeypatch):
+    # the parser is built once per process; a command function rebound on
+    # the module afterwards (as a tracer does) must still be the one called
+    _, paths = workspace
+    argv = ["analyze", "controllability", "--model", str(paths["model"]),
+            "--out", str(tmp_path / "con.json")]
+    assert run(argv) == 0
+    calls = []
+    original = cli.cmd_analyze_controllability
+
+    def wrapped(args):
+        calls.append(args.model)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_analyze_controllability", wrapped)
+    assert run(argv) == 0
+    assert calls == [str(paths["model"])]

@@ -4,7 +4,8 @@ import pytest
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import ArgumentError, NumericError, ShapeError
 from hpdstensor.kernels import (RankTolerance, compact_svd, least_squares,
-                                numerical_rank, pinv, subspace_equal)
+                                numerical_rank, pinv, right_basis,
+                                subspace_equal)
 
 
 class TestCompactSvd:
@@ -65,6 +66,36 @@ class TestCompactSvd:
             RankTolerance("fuzzy", 1.0)
         with pytest.raises(ArgumentError):
             RankTolerance("relative", -1.0)
+
+
+class TestRightBasis:
+    @pytest.mark.parametrize("shape,rank", [((40, 6), 6), ((40, 6), 3),
+                                            ((6, 6), 4), ((5, 9), 5)])
+    def test_matches_compact_svd(self, shape, rank):
+        rng = np.random.default_rng(rank + shape[0])
+        a = rng.standard_normal((shape[0], rank)) @ \
+            rng.standard_normal((rank, shape[1]))
+        d = compact_svd(a)
+        v, us = right_basis(a)
+        assert v.shape[1] == d.rank == rank
+        assert np.allclose(v, d.V, atol=1e-10)
+        assert np.allclose(us, d.U * d.S, atol=1e-10)
+        assert np.allclose(us @ v.T, a, atol=1e-10)
+        lead = us[np.argmax(np.abs(us), axis=0), np.arange(rank)]
+        assert np.all(lead > 0)
+
+    def test_threshold_stays_at_the_tall_shape(self):
+        # sigma_2 / sigma_1 = 3e-14 is dropped at the 1000 x 2 threshold
+        # (2.2e-13) and would be kept at the 2 x 2 one (4.4e-16)
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((1000, 2)))[0]
+        a = q @ np.diag([1.0, 3e-14])
+        assert compact_svd(a).rank == 1
+        assert right_basis(a)[0].shape[1] == 1
+
+    def test_zero_matrix(self):
+        v, us = right_basis(np.zeros((7, 3)))
+        assert v.shape == (3, 0) and us.shape == (7, 0)
 
 
 class TestNumericalRank:

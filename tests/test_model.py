@@ -1,14 +1,22 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hpdstensor import model as model_module
+from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, DivergenceError, ShapeError
-from hpdstensor.hier_tucker import htd_decompose
-from hpdstensor.model import (HpdsModel, SampleSet, add_noise,
+from hpdstensor.hier_tucker import HTucker, htd_decompose
+from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
                               eval_derivative, simulate_continuous,
                               simulate_discrete)
-from hpdstensor.tensor_train import tt_decompose
+from hpdstensor.tensor_train import TensorTrain, tt_decompose
 
 
 def linear_model(a_matrix):
@@ -145,6 +153,186 @@ class TestSimulateDiscrete:
         s = simulate_discrete(model, rng.standard_normal(2) * 0.2,
                               tau=0.05, steps=8)
         assert np.allclose(s.Y0, c @ s.X0)
+
+
+# Reference copy of the per-step loop simulation ran before the prepared
+# evaluators: every derivative is an eval_derivative call that contracts
+# the dynamics afresh (np.tensordot chains on dense tensors and trains, a
+# recursive tree walk on an HTucker).
+def _node_value(h, node, values):
+    if node.is_leaf:
+        return values[node.modes[0]]
+    left = _node_value(h, node.left, values)
+    right = _node_value(h, node.right, values)
+    g = np.asarray(h.transfer[node.modes], dtype=float)
+    g3 = g.reshape(left.shape[1], right.shape[1], g.shape[1], order="F")
+    out = np.einsum("ab,bdc,ed->aec", left, g3, right)
+    return out.reshape(left.shape[0] * right.shape[0], g.shape[1], order="F")
+
+
+def _reference_evaluate(dynamics, x):
+    if isinstance(dynamics, TensorTrain):
+        msg = np.ones(1)
+        for core in dynamics.cores[:-1]:
+            msg = msg @ np.tensordot(x, core, axes=(0, 1))
+        return msg @ dynamics.cores[-1][:, :, 0]
+    if isinstance(dynamics, HTucker):
+        k = len(dynamics.dims)
+        values = {p: x[None, :] @ np.asarray(dynamics.leaf_factors[p],
+                                              dtype=float)
+                  for p in range(1, k)}
+        values[k] = np.asarray(dynamics.leaf_factors[k], dtype=float)
+        return _node_value(dynamics, dynamics.tree.root, values).ravel()
+    out = dynamics
+    for _ in range(dynamics.ndim - 1):
+        out = np.tensordot(x, out, axes=(0, 0))
+    return out
+
+
+def _reference_derivative(model, x, u=None):
+    x = np.asarray(x, dtype=float).ravel()
+    dx = _reference_evaluate(model.dynamics, x)
+    if u is not None:
+        dx = dx + model.B @ np.asarray(u, dtype=float).ravel()
+    return dx
+
+
+def _reference_continuous(model, x0, u, tau, steps, method):
+    x = np.asarray(x0, dtype=float).ravel()
+    states = np.zeros((model.n, steps))
+    derivs = np.zeros((model.n, steps))
+    for i in range(steps):
+        ui = None if u is None else u[:, i]
+        f = lambda z: _reference_derivative(model, z, ui)
+        states[:, i] = x
+        derivs[:, i] = f(x)
+        if not np.all(np.isfinite(derivs[:, i])):
+            raise DivergenceError(i)
+        if i == steps - 1:
+            break
+        if method == "euler":
+            x = x + tau * derivs[:, i]
+        else:
+            k1 = derivs[:, i]
+            k2 = f(x + 0.5 * tau * k1)
+            k3 = f(x + 0.5 * tau * k2)
+            k4 = f(x + tau * k3)
+            x = x + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(i + 1)
+    return states, derivs
+
+
+def _reference_discrete(model, x0, u, tau, steps):
+    x = np.asarray(x0, dtype=float).ravel()
+    states = np.zeros((model.n, steps))
+    nxt = np.zeros((model.n, steps))
+    for i in range(steps):
+        states[:, i] = x
+        x = x + tau * _reference_derivative(model, x, None)
+        if u is not None:
+            x = x + model.B @ u[:, i]
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(i + 1)
+        nxt[:, i] = x
+    return states, nxt
+
+
+def _outcome(run):
+    """The two sample matrices of a simulation, or the step it diverged at."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return run()
+        except DivergenceError as exc:
+            return exc.step
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(k=st.integers(2, 5), n=st.integers(2, 4),
+       fmt=st.sampled_from(["full", "tt", "ht"]),
+       scheme=st.sampled_from(["symmetric", "low_tt", "low_ht"]),
+       with_input=st.booleans(), from_file=st.booleans(),
+       scale=st.sampled_from([0.3, 3.0]), seed=st.integers(0, 2 ** 16))
+def test_simulation_is_bitwise_the_per_step_loop(k, n, fmt, scheme,
+                                                 with_input, from_file,
+                                                 scale, seed):
+    dynamics = gen_instance(scheme, n, k, rank_cap=2, seed=seed).forms()[fmt]
+    rng = np.random.default_rng(seed)
+    model = HpdsModel(k, n, dynamics, B=rng.standard_normal((n, 2)))
+    if from_file:
+        # arrays read back from a model file have their own memory layout
+        text = serialize.dump_json(serialize.model_to_obj(model))
+        model = serialize.model_from_obj(json.loads(text))
+    x0 = scale * rng.uniform(-1, 1, n)
+    u = rng.uniform(-1, 1, (2, 30)) if with_input else None
+    steps, tau = 30, 0.05
+
+    got = _outcome(lambda: simulate_discrete(model, x0, u, tau, steps))
+    want = _outcome(lambda: _reference_discrete(model, x0, u, tau, steps))
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert np.array_equal(got.X0, want[0])
+        assert np.array_equal(got.X1, want[1])
+    for method in ("rk4", "euler"):
+        got = _outcome(lambda: simulate_continuous(model, x0, u, tau, steps,
+                                                   method))
+        want = _outcome(lambda: _reference_continuous(model, x0, u, tau,
+                                                      steps, method))
+        if isinstance(want, int):
+            assert got == want, method
+        else:
+            assert np.array_equal(got.X0, want[0]), method
+            assert np.array_equal(got.X1, want[1]), method
+
+
+class TestPreparedEvaluator:
+    @pytest.mark.parametrize("fmt", ["full", "tt", "ht"])
+    def test_one_evaluator_per_simulation(self, fmt, monkeypatch):
+        dynamics = gen_instance("symmetric", 3, 4, seed=1).forms()[fmt]
+        model = HpdsModel(4, 3, dynamics, B=np.eye(3)[:, :1])
+        prepared, derivatives = [], []
+        entry = FORMATS[fmt]
+
+        def evaluator(dyn):
+            prepared.append(dyn)
+            return entry.evaluator(dyn)
+
+        def counting_derivative(*args, **kwargs):
+            derivatives.append(args)
+            return eval_derivative(*args, **kwargs)
+
+        monkeypatch.setitem(FORMATS, fmt, replace(entry, evaluator=evaluator))
+        monkeypatch.setattr(model_module, "eval_derivative",
+                            counting_derivative)
+        x0, u = 0.1 * np.ones(3), np.zeros((1, 20))
+        for simulate in (
+                lambda: simulate_discrete(model, x0, u, 0.01, 20),
+                lambda: simulate_continuous(model, x0, u, 0.01, 20, "rk4"),
+                lambda: simulate_continuous(model, x0, None, 0.01, 20,
+                                            "euler")):
+            prepared.clear()
+            simulate()
+            assert prepared == [model.dynamics]
+        assert derivatives == []
+
+    def test_input_checks_run_before_any_step(self, monkeypatch):
+        model = HpdsModel(3, 2, np.zeros((2, 2, 2)), B=np.eye(2))
+        monkeypatch.setitem(FORMATS, "full", replace(
+            FORMATS["full"], evaluator=lambda dyn: pytest.fail("prepared")))
+        for simulate in (simulate_discrete, simulate_continuous):
+            with pytest.raises(ShapeError):
+                simulate(model, np.zeros(2), u=np.zeros((3, 4)), steps=4)
+            with pytest.raises(ShapeError):
+                simulate(model, np.zeros(2), u=np.zeros((2, 3)), steps=4)
+            with pytest.raises(ArgumentError):
+                simulate(replace(model, B=None), np.zeros(2),
+                         u=np.zeros((2, 4)), steps=4)
+
+    def test_eval_derivative_checks_the_state_length(self):
+        model = HpdsModel(3, 2, np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeError):
+            eval_derivative(model, np.ones(3))
 
 
 class TestAddNoise:

@@ -8,8 +8,8 @@ from hpdstensor import tensor_core as tc
 from hpdstensor.cli import run
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
-from hpdstensor.model import FORMATS, HpdsModel, simulate_continuous, \
-    simulate_discrete
+from hpdstensor.model import FORMATS, HpdsModel, SampleSet, \
+    simulate_continuous, simulate_discrete
 from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
 
 
@@ -134,6 +134,33 @@ class TestTrajectoryCsv:
         loaded = serialize.read_trajectory_csv(str(path))
         assert loaded.X1 is None
         assert np.array_equal(loaded.U0, samples.U0)
+
+    @pytest.mark.parametrize("kind", ["derivative", "next_state"])
+    def test_text_is_the_format_float_loop(self, kind, tmp_path):
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((2, 6))
+        x0[:, 0] = [-0.0, 0.0]
+        x0[:, 1] = [1e-300, -1e300]
+        x0[:, 2] = [3.0, -17.0]
+        x0[:, 3] = [5e-324, 1e16]
+        samples = SampleSet(tau=0.1, X0=x0, X1=rng.standard_normal((2, 6)),
+                            U0=np.array([[1.0, -0.0, 2.5, 1e300, 7.0, 0.1]]),
+                            Y0=rng.standard_normal((3, 6)) * 1e-5,
+                            x1_kind=kind)
+        path = tmp_path / "traj.csv"
+        serialize.write_trajectory_csv(str(path), samples)
+        # the writer's text, one format_float call per value
+        blocks = [samples.X0] + ([samples.X1] if kind == "derivative" else [])
+        blocks += [samples.U0, samples.Y0]
+        rows = []
+        for i in range(6):
+            row = [serialize.format_float(i * samples.tau)]
+            for block in blocks:
+                row.extend(serialize.format_float(v) for v in block[:, i])
+            rows.append(",".join(row))
+        body = path.read_text().split("\n", 1)[1]
+        assert body == "\n".join(rows) + "\n"
+        assert "-0," in body and "e-300," in body and "e+300," in body
 
     def test_nonuniform_sampling_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

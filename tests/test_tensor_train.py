@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.kernels import numerical_rank
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
@@ -75,6 +76,22 @@ class TestDecompose:
         for p in range(1, k):
             assert train.ranks[p] == numerical_rank(
                 tc.unfold(t, range(1, p + 1)))
+
+    def test_svd_inputs_have_at_most_n_times_max_rank_rows(self,
+                                                           monkeypatch):
+        dense = gen_instance("low_tt", 8, 6, rank_cap=4).dense
+        svd, rows = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        train = tt_decompose(dense)
+        assert len(rows) == 5
+        assert max(rows) <= 8 * max(train.ranks)
+        assert np.linalg.norm(tt_reconstruct(train) - dense) <= \
+            1e-12 * np.linalg.norm(dense)
 
     def test_k_mode_unfolding_entry_point(self):
         t = random_tensor((3, 3, 3), 2)
