@@ -78,12 +78,22 @@ def compact_svd(matrix: np.ndarray, tol: RankTolerance | None = None) -> Compact
     thr = _resolve(tol).threshold(matrix.shape, s[0])
     r = int(np.count_nonzero(s > thr))
     u, s, v = u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
-    for j in range(r):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    _sign_rule(u, v)
     return CompactSvd(u, s, v)
+
+
+def _sign_rule(lead: np.ndarray, other: np.ndarray) -> None:
+    """Flip columns in place so each column of ``lead`` has its
+    largest-magnitude entry (the first, on ties) positive, flipping the
+    matching columns of ``other`` alongside.
+
+    A flip multiplies by -1.0, which is exact, so the result is bitwise that
+    of negating the column."""
+    cols = np.arange(lead.shape[1])
+    picked = lead[np.argmax(np.abs(lead), axis=0), cols]
+    sign = np.where(picked < 0, -1.0, 1.0)
+    lead *= sign
+    other *= sign
 
 
 def left_basis(matrix: np.ndarray,
@@ -123,9 +133,7 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None
         tol = RankTolerance(value=m * _EPS)
     v = compact_svd(np.linalg.qr(matrix, mode="r"), tol).V
     us = matrix @ v
-    flip = us[np.argmax(np.abs(us), axis=0), np.arange(us.shape[1])] < 0
-    us[:, flip] = -us[:, flip]
-    v[:, flip] = -v[:, flip]
+    _sign_rule(us, v)
     return v, us
 
 

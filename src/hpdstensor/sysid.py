@@ -6,7 +6,11 @@ input-output path reconstructs states from the output SVD once and solves
 the finite-difference relation.  Neither forms KR (n^(k-1) x T): both work
 on its C(n+k-2, k-1) distinct monomial rows, weighted by the square roots of
 their multiplicities, which have KR's singular values, and gather the
-unfolding's columns from one coefficient per monomial.  The tensor-train
+unfolding's columns from one coefficient per monomial.  Rank conditions are
+decided on singular values alone.  The autonomous regression is one QR
+factorization of the monomials stacked beside the derivatives, which gives
+both the data's singular values and a triangular solve for the
+coefficients, so no singular vectors are computed.  The tensor-train
 result is the full recovery converted through the model's ``FORMATS``
 table; the hierarchical Tucker pipeline builds its tree from the same data
 with one leaf SVD shared by the almost symmetric modes 1..k-1.
@@ -20,10 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
-                     ShapeError)
+                     NumericError, ShapeError)
 from .hier_tucker import DimensionTree, HTucker, _climb, build_tree
-from .kernels import (CompactSvd, RankTolerance, compact_svd, least_squares,
-                      left_basis)
+from .kernels import RankTolerance, compact_svd, least_squares, left_basis
 from .model import FORMATS, HpdsModel, SampleSet
 from .tensor_core import fold, multisets, unfold
 
@@ -67,13 +70,28 @@ def required_rank(n: int, k: int) -> int:
     return total
 
 
-def _report(svd: CompactSvd, required: int) -> IdentifiabilityReport:
-    observed = svd.rank
-    margin = float(svd.S[-1]) if observed else 0.0
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(matrix)):
+        raise NumericError("sample data has non-finite entries")
+    return matrix
+
+
+def _report(matrix: np.ndarray, shape: tuple[int, int], tol: RankTolerance,
+            required: int) -> tuple[IdentifiabilityReport, np.ndarray]:
+    """The rank report, and the singular values, of a data matrix of
+    ``shape`` whose singular values ``matrix`` shares.
+
+    Only the values are computed.  Those above ``tol``'s threshold at
+    ``shape`` count toward the rank, the cut :func:`compact_svd` makes.
+    """
+    s = np.linalg.svd(matrix, compute_uv=False)
+    kept = s[s > tol.threshold(shape, s[0])] if s.size else s
+    observed = kept.size
+    margin = float(kept[-1]) if observed else 0.0
     satisfied = observed == required
-    ill = bool(satisfied and observed
-               and margin < 1e3 * _EPS * float(svd.S[0]))
-    return IdentifiabilityReport(observed, required, satisfied, margin, ill)
+    ill = bool(satisfied and margin < 1e3 * _EPS * float(kept[0]))
+    return (IdentifiabilityReport(observed, required, satisfied, margin, ill),
+            s)
 
 
 def _weighted_monomials(x: np.ndarray, k: int):
@@ -102,12 +120,26 @@ def _khatri_rao_tol(tol: RankTolerance | None, rows: int,
     return RankTolerance(value=max(rows, cols) * _EPS) if tol is None else tol
 
 
-def _autonomous_svd(x0: np.ndarray, k: int, tol: RankTolerance | None):
-    """Compact SVD of W^{1/2} R, with the weights and column multisets."""
+def _autonomous_qr(x0: np.ndarray, k: int, tol: RankTolerance | None,
+                   x1: np.ndarray | None = None):
+    """The rank report of W^{1/2} R from the QR factorization of
+    [(W^{1/2} R)^T | X1^T], with the triangular factor, the singular
+    values, the weights and the column multisets.
+
+    The factor's leading block R11, M x M once T >= M, is the triangular
+    factor of (W^{1/2} R)^T, so it has the data's singular values; the block
+    R12 beside it is Q^T X1^T.  Without ``x1`` only the monomials are
+    factored.
+    """
     n, t = x0.shape
     weighted, root, columns = _weighted_monomials(x0, k)
-    return (compact_svd(weighted, _khatri_rao_tol(tol, n ** (k - 1), t)),
-            root, columns)
+    stack = weighted.T if x1 is None else np.hstack([weighted.T, x1.T])
+    tri = np.linalg.qr(_finite(stack), mode="r")
+    count = weighted.shape[0]
+    report, s = _report(tri[:count, :count], weighted.shape,
+                        _khatri_rao_tol(tol, n ** (k - 1), t),
+                        required_rank(n, k))
+    return report, tri, s, root, columns
 
 
 def check_identifiability_autonomous(samples: SampleSet, k: int,
@@ -116,21 +148,22 @@ def check_identifiability_autonomous(samples: SampleSet, k: int,
     """Check rank(X0_hat) against the unique-identification count."""
     if samples.X0 is None:
         raise ArgumentError("sample set has no state matrix X0")
-    svd, _, _ = _autonomous_svd(samples.X0, k, tol)
-    return _report(svd, required_rank(samples.X0.shape[0], k))
+    return _autonomous_qr(samples.X0, k, tol)[0]
 
 
 def _recover_unfolding(samples: SampleSet, k: int, tol: RankTolerance | None
                        ) -> tuple[np.ndarray, RankTolerance]:
     """A_(k) = X1 pinv(X0_hat), and the tolerance to convert it at.
 
-    One compact SVD of the weighted monomial matrix serves both the rank
-    condition and the pseudo-inverse.  The unfolding gathers one column per
-    monomial, so the tensor it folds to is exactly almost symmetric.  The
-    recovered entries carry an error of about kappa eps, kappa the
-    condition number of the data matrix; unless ``tol`` is given, the
-    conversion tolerance max(n^(k-1), T) eps kappa drops ranks at that
-    level.
+    One QR factorization of [(W^{1/2} R)^T | X1^T] serves both the rank
+    condition and the regression.  The condition holds only when the
+    M x T matrix W^{1/2} R has full row rank M, and then X1 pinv(W^{1/2} R)
+    is the least-squares solution (R11^{-1} R12)^T, with no singular
+    vectors.  The unfolding gathers one column per monomial, so the tensor
+    it folds to is exactly almost symmetric.  The recovered entries carry an
+    error of about kappa eps, kappa the condition number of the data
+    matrix; unless ``tol`` is given, the conversion tolerance
+    max(n^(k-1), T) eps kappa drops ranks at that level.
     """
     if samples.X0 is None or samples.X1 is None:
         raise ArgumentError("autonomous identification needs X0 and X1")
@@ -138,13 +171,14 @@ def _recover_unfolding(samples: SampleSet, k: int, tol: RankTolerance | None
         raise ArgumentError("autonomous identification needs derivative data; "
                             "use the io path for discrete samples")
     n, t = samples.X0.shape
-    svd, root, columns = _autonomous_svd(samples.X0, k, tol)
-    report = _report(svd, required_rank(n, k))
+    report, tri, s, root, columns = _autonomous_qr(samples.X0, k, tol,
+                                                   samples.X1)
     if not report.satisfied:
         raise IdentifiabilityError(report)
-    coeffs = (samples.X1 @ (svd.V / svd.S)) @ (svd.U.T / root)
+    count = root.size
+    coeffs = np.linalg.solve(tri[:count, :count], tri[:count, count:]).T / root
     if tol is None:
-        kappa = float(svd.S[0] / svd.S[-1])
+        kappa = float(s[0] / s[-1])
         tol = RankTolerance(value=max(n ** (k - 1), t) * _EPS * kappa)
     return coeffs[:, columns], tol
 
@@ -181,10 +215,10 @@ def identify_ht(samples: SampleSet, k: int,
     """Recover the dynamics in hierarchical Tucker form.
 
     The recovered unfolding is first folded into the dense n^k tensor;
-    building the tree from the monomial coefficients without it is the open
-    second bullet of ROADMAP item 4.  Uses the almost-symmetry shortcut: the
-    leaf factors of modes 1..k-1 are all taken from the 1-mode unfolding of
-    that tensor, so they are identical arrays.  The transfers come from the
+    building the tree from the monomial coefficients without it is ROADMAP
+    item 3.  Uses the almost-symmetry shortcut: the leaf factors of modes
+    1..k-1 are all taken from the 1-mode unfolding of that tensor, so they
+    are identical arrays.  The transfers come from the
     leaves-to-root climb of :func:`htd_decompose` above those leaves, all at
     the recovery's conversion tolerance.
     """
@@ -247,9 +281,10 @@ def _io_check(samples: SampleSet, k: int, n: int | None,
     if t < 2:
         raise ArgumentError("need at least two samples")
     monomials = _weighted_monomials(states[:, :t - 1], k)
-    stack = np.vstack([monomials[0], samples.U0[:, :t - 1]])
-    svd = compact_svd(stack, _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1))
-    report = _report(svd, required)
+    stack = _finite(np.vstack([monomials[0], samples.U0[:, :t - 1]]))
+    report, _ = _report(stack, stack.shape,
+                        _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1),
+                        required)
     # exact data from an n-state system has rank(Y0) <= n, so demanding
     # >= n is the same condition there while tolerating noise-inflated rank
     if y_rank < n:

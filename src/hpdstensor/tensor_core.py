@@ -94,15 +94,33 @@ def multisets(n: int, m: int):
     multiset does not depend on the order of its digits, so this holds for
     psi and row-major positions alike.  ``counts`` holds how many
     multi-indices share each multiset, the multinomial coefficients.
+
+    The ranks are built one digit at a time, without sorting.  In order, the
+    multisets of size p + 1 are each multiset of size p followed by every
+    digit from its largest one, l, up.  The table ``grow`` gives the rank of
+    a multiset with one digit d added: d appended when d >= l, and else l
+    appended to the previous level's grow[s, d], s the multiset without l.
     """
-    dims = (n,) * m
-    index = np.indices(dims, dtype=np.min_scalar_type(n)).reshape(m, -1)
-    sorted_index = np.sort(index, axis=0)
-    codes = np.ravel_multi_index(sorted_index, dims)
-    _, first, ranks, counts = np.unique(codes, return_index=True,
-                                        return_inverse=True,
-                                        return_counts=True)
-    return sorted_index[:, first].T, ranks, counts
+    if n < 1 or m < 1:
+        raise ArgumentError("need n >= 1 and m >= 1")
+    digits = np.arange(n)
+    members = digits[:, None]
+    ranks = digits
+    grow = digits[None, :]  # from the empty multiset
+    parent = np.zeros(n, dtype=np.intp)
+    for _ in range(1, m):
+        last = members[:, -1]
+        start = np.cumsum(n - last) - (n - last) - last  # rank of (s, 0)
+        append = start[:, None] + digits  # valid where digit >= last
+        inserted = start[grow[parent]] + last[:, None]
+        grow = np.where(digits >= last[:, None], append, inserted)
+        owner = np.repeat(np.arange(members.shape[0]), n - last)
+        members = np.column_stack(
+            [members[owner], np.arange(owner.size) - start[owner]])
+        parent = owner
+        ranks = grow[ranks].ravel()
+    counts = np.bincount(ranks, minlength=members.shape[0])
+    return members.astype(np.min_scalar_type(n)), ranks, counts
 
 
 def kron_power(v: np.ndarray, m: int) -> np.ndarray:

@@ -47,6 +47,40 @@ class TestCompactSvd:
             lead = np.argmax(np.abs(d1.U[:, j]))
             assert d1.U[lead, j] > 0
 
+    @pytest.mark.parametrize("case", ["tall", "wide", "deficient",
+                                      "hadamard", "tie", "negated_tie"])
+    def test_sign_rule_matches_the_column_loop_bitwise(self, case):
+        rng = np.random.default_rng(3)
+        m = {"tall": rng.standard_normal((9, 4)),
+             "wide": rng.standard_normal((3, 8)),
+             "deficient": rng.standard_normal((7, 2)) @
+             rng.standard_normal((2, 6)),
+             "hadamard": np.array([[1.0, 1, 1, 1], [1, -1, 1, -1],
+                                   [1, 1, -1, -1], [1, -1, -1, 1]]) @
+             np.diag([1.0, 2, 3, 4]),
+             "tie": np.array([[1.0], [-1.0], [0.5]]),
+             "negated_tie": np.array([[-1.0], [1.0], [-0.5]])}[case]
+        # the sign rule as a loop over columns, one argmax each
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        r = int(np.count_nonzero(s > max(m.shape) * np.finfo(float).eps * s[0]))
+        u, s, v = u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
+        opposite_ties = 0
+        for j in range(r):
+            mags = np.abs(u[:, j])
+            tied = u[mags == mags.max(), j]
+            opposite_ties += int(tied.min() < 0 < tied.max())
+            lead = int(np.argmax(mags))
+            if u[lead, j] < 0:
+                u[:, j] = -u[:, j]
+                v[:, j] = -v[:, j]
+        d = compact_svd(m)
+        for got, want in ((d.U, u), (d.S, s), (d.V, v)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if case in ("hadamard", "tie", "negated_tie"):
+            # the first of the tied largest magnitudes decides the sign
+            assert opposite_ties >= 1
+
     def test_orthonormal_factors(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5))

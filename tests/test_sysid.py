@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpdstensor import sysid
+from hpdstensor import kernels, sysid
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import (ArgumentError, AssumptionError,
-                               IdentifiabilityError)
+                               IdentifiabilityError, NumericError)
 from hpdstensor.hier_tucker import htd_reconstruct
-from hpdstensor.kernels import compact_svd, pinv
+from hpdstensor.kernels import RankTolerance, compact_svd, pinv
 from hpdstensor.model import HpdsModel, SampleSet, eval_derivative, \
     simulate_discrete
 from hpdstensor.sysid import (check_identifiability_autonomous,
@@ -86,6 +86,63 @@ class TestIdentifiabilityAutonomous:
         report = check_identifiability_autonomous(s, 2)
         assert report.required_rank == 4 and report.satisfied
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 4), k=st.integers(2, 5), extra=st.integers(-4, 4),
+           seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-4, 1.0,
+                                                                 1e3]),
+           data=st.sampled_from(["generic", "duplicated", "zero"]),
+           tol=st.sampled_from([None, RankTolerance(),
+                                RankTolerance("absolute", 1e-9),
+                                RankTolerance("absolute", 1.0)]))
+    def test_report_matches_the_svd_of_the_monomials(
+            self, n, k, extra, seed, scale, data, tol):
+        # T = M + extra samples, so below M for extra < 0
+        count = required_rank(n, k)
+        t_count = max(1, count + extra)
+        rng = np.random.default_rng(seed)
+        x0 = scale * rng.standard_normal((n, t_count))
+        if data == "duplicated":
+            x0[:, t_count // 2:] = x0[:, :1]
+        elif data == "zero":
+            x0[:] = 0.0
+        report = check_identifiability_autonomous(
+            SampleSet(tau=0.1, X0=x0), k, tol)
+        # reference: the compact SVD of W^{1/2} R built here, one row per
+        # multiset weighted by the square root of its multinomial count
+        rows = []
+        for m in itertools.combinations_with_replacement(range(n), k - 1):
+            weight = math.factorial(k - 1)
+            for j in set(m):
+                weight //= math.factorial(m.count(j))
+            rows.append(math.sqrt(weight) * np.prod(x0[list(m)], axis=0))
+        weighted = np.array(rows)
+        ref_tol = RankTolerance(
+            value=max(n ** (k - 1), t_count) * np.finfo(float).eps) \
+            if tol is None else tol
+        ref = compact_svd(weighted, ref_tol)
+        assert report.required_rank == count
+        assert report.observed_rank == ref.rank
+        assert report.satisfied == (ref.rank == count)
+        assert report.ill_conditioned == bool(
+            ref.rank == count and ref.S[-1] < 1e3 * np.finfo(float).eps *
+            ref.S[0])
+        if ref.rank:
+            assert abs(report.margin - ref.S[-1]) <= 1e-10 * ref.S[-1]
+        else:
+            assert report.margin == 0.0
+
+    @pytest.mark.parametrize("tol", [None, RankTolerance()])
+    def test_threshold_stays_at_the_data_shape(self, tol):
+        # sigma_2 / sigma_1 = 3e-14 is dropped at the 2 x 1000 threshold
+        # (2.2e-13) and would be kept at the 2 x 2 one (4.4e-16) of the
+        # triangular factor
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((1000, 2)))[0]
+        x0 = (q @ np.diag([1.0, 3e-14])).T
+        report = check_identifiability_autonomous(SampleSet(tau=0.1, X0=x0),
+                                                  2, tol)
+        assert report.observed_rank == 1 and not report.satisfied
+
     def test_too_few_samples_reports_not_raises(self):
         rng = np.random.default_rng(3)
         s = SampleSet(tau=0.1, X0=rng.standard_normal((3, 2)))
@@ -125,19 +182,28 @@ class TestIdentifyFull:
                            atol=1e-10)
 
     def test_one_svd_of_the_khatri_rao_power(self, monkeypatch):
-        shapes = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("compact_svd called")
 
-        def counting_svd(matrix, tol=None):
-            shapes.append(np.shape(matrix))
-            return compact_svd(matrix, tol)
+        monkeypatch.setattr(sysid, "compact_svd", refuse)
+        monkeypatch.setattr(kernels, "compact_svd", refuse)
+        svd = np.linalg.svd
+        calls = []
 
-        monkeypatch.setattr(sysid, "compact_svd", counting_svd)
+        def counting_svd(matrix, *args, **kwargs):
+            calls.append((np.shape(matrix), kwargs.get("compute_uv", True)))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         rng = np.random.default_rng(8)
         truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
         s = exact_autonomous_samples(truth, 12, 9)
+        assert check_identifiability_autonomous(s, 3).satisfied
         model = identify_full(s, 3)
-        # one SVD of the C(n+k-2, k-1) = 6 weighted monomial rows
-        assert shapes == [(6, 12)]
+        monkeypatch.undo()
+        # one singular-values-only SVD per call, of the triangular factor of
+        # the C(n+k-2, k-1) = 6 weighted monomial rows
+        assert calls == [((6, 6), False)] * 2
         assert np.allclose(model.dynamics, truth, atol=1e-8)
         unfolding = s.X1 @ pinv(tc.khatri_rao_power(s.X0, 2))
         got = tc.unfold(model.dynamics, {3})
@@ -151,6 +217,18 @@ class TestIdentifyFull:
         with pytest.raises(IdentifiabilityError) as err:
             identify_full(s, 3)
         assert err.value.report.observed_rank < err.value.report.required_rank
+
+    @pytest.mark.parametrize("identify", [identify_full, identify_tt,
+                                          identify_ht])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_derivatives_raise(self, identify, bad):
+        rng = np.random.default_rng(8)
+        truth = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
+        s = exact_autonomous_samples(truth, 12, 9)
+        x1 = s.X1.copy()
+        x1[1, 4] = bad
+        with pytest.raises(NumericError):
+            identify(SampleSet(tau=s.tau, X0=s.X0, X1=x1), 3)
 
     def test_uniqueness_across_datasets(self):
         rng = np.random.default_rng(8)
@@ -356,6 +434,15 @@ class TestIdentifiabilityIo:
                             Y0=rng.standard_normal((2, 10)))
         with pytest.raises(AssumptionError):
             check_identifiability_io(samples, 3)
+
+    def test_non_finite_inputs_raise(self):
+        _, samples, _, _ = io_setup(0)
+        u0 = samples.U0.copy()
+        u0[0, 3] = np.nan
+        bad = SampleSet(tau=samples.tau, X0=samples.X0, U0=u0,
+                        Y0=samples.Y0, x1_kind=samples.x1_kind)
+        with pytest.raises(NumericError):
+            check_identifiability_io(bad, 3)
 
     def test_missing_channels_rejected(self):
         s = SampleSet(tau=0.1, X0=np.zeros((2, 3)))

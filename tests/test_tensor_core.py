@@ -318,3 +318,44 @@ class TestContractLeading:
             tc.contract_leading(t, [np.ones(2)])
         with pytest.raises(ShapeError):
             tc.contract_leading(t, [np.ones(3), np.ones(2)])
+
+
+def multisets_by_sorting(n, m):
+    """The multiset ranking by sorting every multi-index's digits."""
+    dims = (n,) * m
+    index = np.indices(dims, dtype=np.min_scalar_type(n)).reshape(m, -1)
+    sorted_index = np.sort(index, axis=0)
+    codes = np.ravel_multi_index(sorted_index, dims)
+    _, first, ranks, counts = np.unique(codes, return_index=True,
+                                        return_inverse=True,
+                                        return_counts=True)
+    return sorted_index[:, first].T, ranks, counts
+
+
+class TestMultisets:
+    # identification sizes (n, k - 1), the symmetric benchmark draws (n, k),
+    # and edge sizes
+    @pytest.mark.parametrize("n,m", [(4, 6), (5, 5), (8, 3), (3, 8), (5, 7),
+                                     (3, 10), (4, 7), (5, 6), (3, 9), (5, 3),
+                                     (7, 3), (1, 4), (2, 2), (300, 2), (1, 1),
+                                     (6, 1), (2, 9)])
+    def test_matches_the_sort_bitwise(self, n, m):
+        got = tc.multisets(n, m)
+        want = multisets_by_sorting(n, m)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    def test_members_in_combinations_order(self):
+        members, ranks, counts = tc.multisets(3, 4)
+        assert [tuple(row) for row in members] == list(
+            itertools.combinations_with_replacement(range(3), 4))
+        for j, digits in enumerate(itertools.product(range(3), repeat=4)):
+            assert tuple(members[ranks[j]]) == tuple(sorted(digits))
+        assert counts.sum() == 3 ** 4
+
+    def test_domain_checks(self):
+        with pytest.raises(ArgumentError):
+            tc.multisets(3, 0)
+        with pytest.raises(ArgumentError):
+            tc.multisets(0, 2)
