@@ -114,7 +114,8 @@ def left_basis(matrix: np.ndarray,
     return compact_svd(np.linalg.qr(matrix.T, mode="r").T, tol).U
 
 
-def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None
+def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
+                root: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """V and U S of :func:`compact_svd`, without forming U.
 
@@ -123,15 +124,24 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None
     the SVD, and U S is A V.  The threshold stays at A's shape, and each
     column of A V has its largest-magnitude entry positive, the sign rule
     of :func:`compact_svd`, with V's columns flipped alongside.
+
+    With ``root``, V is that of diag(root) A, and the unweighted A V is
+    returned, signed by the same rule.  When row i of A stands for root_i^2
+    equal rows of a larger matrix, these are that matrix's V and the
+    distinct rows of its U S.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     m, n = matrix.shape
+    weighted = matrix if root is None else root[:, None] * matrix
     if not m > n > 0:
-        svd = compact_svd(matrix, tol)
-        return svd.V, svd.U * svd.S
-    if tol is None:
-        tol = RankTolerance(value=m * _EPS)
-    v = compact_svd(np.linalg.qr(matrix, mode="r"), tol).V
+        svd = compact_svd(weighted, tol)
+        if root is None:
+            return svd.V, svd.U * svd.S
+        v = svd.V
+    else:
+        if tol is None:
+            tol = RankTolerance(value=m * _EPS)
+        v = compact_svd(np.linalg.qr(weighted, mode="r"), tol).V
     us = matrix @ v
     _sign_rule(us, v)
     return v, us

@@ -10,10 +10,15 @@ unfolding's columns from one coefficient per monomial.  Rank conditions are
 decided on singular values alone.  The autonomous regression is one QR
 factorization of the monomials stacked beside the derivatives, which gives
 both the data's singular values and a triangular solve for the
-coefficients, so no singular vectors are computed.  The tensor-train
-result is the full recovery converted through the model's ``FORMATS``
-table; the hierarchical Tucker pipeline builds its tree from the same data
-with one leaf SVD shared by the almost symmetric modes 1..k-1.
+coefficients, so no singular vectors are computed.
+
+Only the full result folds the n^k tensor.  The tensor train and the
+hierarchical Tucker tree are built from the n x M coefficients directly:
+every unfolding of an almost symmetric tensor repeats a row once per
+ordering of its symmetric modes, so each decomposition works on the
+distinct rows and columns, weighted by the square roots of their
+multiplicities, which have the dense unfolding's singular values and
+singular vectors.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
-from .hier_tucker import DimensionTree, HTucker, _climb, build_tree
-from .kernels import RankTolerance, compact_svd, least_squares, left_basis
-from .model import FORMATS, HpdsModel, SampleSet
-from .tensor_core import fold, multisets, unfold
+from .hier_tucker import DimensionTree, HTucker, build_tree
+from .kernels import (RankTolerance, _sign_rule, compact_svd, least_squares,
+                      right_basis)
+from .model import HpdsModel, SampleSet
+from .tensor_core import _multiset_ranks, fold, multiset_tables
+from .tensor_train import TensorTrain, tt_zero
 
 __all__ = [
     "IdentifiabilityReport", "required_rank", "check_identifiability_autonomous",
@@ -43,16 +50,19 @@ _EPS = float(np.finfo(float).eps)
 class IdentifiabilityReport:
     """Outcome of a rank condition check.
 
-    ``margin`` is the smallest retained singular value of the data matrix;
-    ``ill_conditioned`` flags a satisfied condition whose margin sits within
-    1e3 machine epsilons of the largest singular value, where recovery
-    accuracy degrades.
+    ``margin`` is the smallest retained singular value of the data matrix,
+    and ``condition`` the largest over it, sigma_1 / sigma_r with r the
+    observed rank (inf when no value is retained); recovered coefficients
+    err by about ``condition`` machine epsilons.  ``ill_conditioned`` flags
+    a satisfied condition whose margin sits within 1e3 machine epsilons of
+    the largest singular value, where recovery accuracy degrades.
     """
 
     observed_rank: int
     required_rank: int
     satisfied: bool
     margin: float
+    condition: float
     ill_conditioned: bool = False
 
 
@@ -77,9 +87,9 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
 
 
 def _report(matrix: np.ndarray, shape: tuple[int, int], tol: RankTolerance,
-            required: int) -> tuple[IdentifiabilityReport, np.ndarray]:
-    """The rank report, and the singular values, of a data matrix of
-    ``shape`` whose singular values ``matrix`` shares.
+            required: int) -> IdentifiabilityReport:
+    """The rank report of a data matrix of ``shape`` whose singular values
+    ``matrix`` shares.
 
     Only the values are computed.  Those above ``tol``'s threshold at
     ``shape`` count toward the rank, the cut :func:`compact_svd` makes.
@@ -88,29 +98,33 @@ def _report(matrix: np.ndarray, shape: tuple[int, int], tol: RankTolerance,
     kept = s[s > tol.threshold(shape, s[0])] if s.size else s
     observed = kept.size
     margin = float(kept[-1]) if observed else 0.0
+    condition = float(kept[0]) / margin if observed else math.inf
     satisfied = observed == required
     ill = bool(satisfied and margin < 1e3 * _EPS * float(kept[0]))
-    return (IdentifiabilityReport(observed, required, satisfied, margin, ill),
-            s)
+    return IdentifiabilityReport(observed, required, satisfied, margin,
+                                 condition, ill)
 
 
 def _weighted_monomials(x: np.ndarray, k: int):
-    """W^{1/2} R, the weights W^{1/2} and the multiset of every column.
+    """W^{1/2} R, the weights W^{1/2} and the :func:`multiset_tables` of
+    R's rows.
 
     R holds the M = C(n+k-2, k-1) distinct rows of KR, the (k-1)-fold
     Khatri-Rao power of x (n^(k-1) x T), one per monomial of degree k-1,
-    and W how often each occurs in KR.  Row j of KR is row ``columns[j]`` of R, so
+    and W how often each occurs in KR.  Row j of KR is row ``columns[j]``
+    of R, ``columns`` the multiset ranks of the tables, so
     KR^T KR = (W^{1/2} R)^T (W^{1/2} R): the two matrices share their
     singular values and right singular vectors, and the Khatri-Rao
     regression X1 pinv(KR) is (X1 pinv(W^{1/2} R) W^{-1/2})[:, columns].
     KR itself is never formed.
     """
-    members, columns, counts = multisets(x.shape[0], k - 1)
+    tables = multiset_tables(x.shape[0], k - 1)
+    members = tables[0][k - 1]
     rows = x[members[:, 0]]
     for p in range(1, k - 1):
         rows = rows * x[members[:, p]]
-    root = np.sqrt(counts)
-    return root[:, None] * rows, root, columns
+    root = np.sqrt(tables[2][k - 1])
+    return root[:, None] * rows, root, tables
 
 
 def _khatri_rao_tol(tol: RankTolerance | None, rows: int,
@@ -123,8 +137,8 @@ def _khatri_rao_tol(tol: RankTolerance | None, rows: int,
 def _autonomous_qr(x0: np.ndarray, k: int, tol: RankTolerance | None,
                    x1: np.ndarray | None = None):
     """The rank report of W^{1/2} R from the QR factorization of
-    [(W^{1/2} R)^T | X1^T], with the triangular factor, the singular
-    values, the weights and the column multisets.
+    [(W^{1/2} R)^T | X1^T], with the triangular factor, the weights and the
+    multiset tables.
 
     The factor's leading block R11, M x M once T >= M, is the triangular
     factor of (W^{1/2} R)^T, so it has the data's singular values; the block
@@ -132,14 +146,14 @@ def _autonomous_qr(x0: np.ndarray, k: int, tol: RankTolerance | None,
     factored.
     """
     n, t = x0.shape
-    weighted, root, columns = _weighted_monomials(x0, k)
+    weighted, root, tables = _weighted_monomials(x0, k)
     stack = weighted.T if x1 is None else np.hstack([weighted.T, x1.T])
     tri = np.linalg.qr(_finite(stack), mode="r")
     count = weighted.shape[0]
-    report, s = _report(tri[:count, :count], weighted.shape,
-                        _khatri_rao_tol(tol, n ** (k - 1), t),
-                        required_rank(n, k))
-    return report, tri, s, root, columns
+    report = _report(tri[:count, :count], weighted.shape,
+                     _khatri_rao_tol(tol, n ** (k - 1), t),
+                     required_rank(n, k))
+    return report, tri, root, tables
 
 
 def check_identifiability_autonomous(samples: SampleSet, k: int,
@@ -151,18 +165,19 @@ def check_identifiability_autonomous(samples: SampleSet, k: int,
     return _autonomous_qr(samples.X0, k, tol)[0]
 
 
-def _recover_unfolding(samples: SampleSet, k: int, tol: RankTolerance | None
-                       ) -> tuple[np.ndarray, RankTolerance]:
-    """A_(k) = X1 pinv(X0_hat), and the tolerance to convert it at.
+def _recover_coefficients(samples: SampleSet, k: int,
+                          tol: RankTolerance | None):
+    """The n x M monomial coefficients of A_(k) = X1 pinv(X0_hat), the
+    tolerance to decompose them at, and the multiset tables.
 
     One QR factorization of [(W^{1/2} R)^T | X1^T] serves both the rank
     condition and the regression.  The condition holds only when the
     M x T matrix W^{1/2} R has full row rank M, and then X1 pinv(W^{1/2} R)
     is the least-squares solution (R11^{-1} R12)^T, with no singular
-    vectors.  The unfolding gathers one column per monomial, so the tensor
-    it folds to is exactly almost symmetric.  The recovered entries carry an
-    error of about kappa eps, kappa the condition number of the data
-    matrix; unless ``tol`` is given, the conversion tolerance
+    vectors; divided by W^{1/2}, it holds one coefficient per monomial, so
+    A_(k) = coeffs[:, columns] is exactly almost symmetric.  The recovered
+    entries carry an error of about kappa eps, kappa the report's
+    condition number; unless ``tol`` is given, the conversion tolerance
     max(n^(k-1), T) eps kappa drops ranks at that level.
     """
     if samples.X0 is None or samples.X1 is None:
@@ -171,16 +186,15 @@ def _recover_unfolding(samples: SampleSet, k: int, tol: RankTolerance | None
         raise ArgumentError("autonomous identification needs derivative data; "
                             "use the io path for discrete samples")
     n, t = samples.X0.shape
-    report, tri, s, root, columns = _autonomous_qr(samples.X0, k, tol,
-                                                   samples.X1)
+    report, tri, root, tables = _autonomous_qr(samples.X0, k, tol, samples.X1)
     if not report.satisfied:
         raise IdentifiabilityError(report)
     count = root.size
     coeffs = np.linalg.solve(tri[:count, :count], tri[:count, count:]).T / root
     if tol is None:
-        kappa = float(s[0] / s[-1])
-        tol = RankTolerance(value=max(n ** (k - 1), t) * _EPS * kappa)
-    return coeffs[:, columns], tol
+        tol = RankTolerance(value=max(n ** (k - 1), t) * _EPS *
+                            report.condition)
+    return coeffs, tol, tables
 
 
 def identify_full(samples: SampleSet, k: int,
@@ -190,23 +204,155 @@ def identify_full(samples: SampleSet, k: int,
     The recovered tensor is almost symmetric by construction: permuted
     multi-indices of modes 1..k-1 read the same monomial coefficient.
     """
-    ak, _ = _recover_unfolding(samples, k, tol)
+    coeffs, _, (_, grows, _) = _recover_coefficients(samples, k, tol)
     n = samples.X0.shape[0]
-    return HpdsModel(k, n, fold(ak, {k}, [n] * k))
+    return HpdsModel(k, n, fold(coeffs[:, _multiset_ranks(grows)], {k},
+                                [n] * k))
+
+
+def _symmetric_train(coeffs: np.ndarray, tables,
+                     tol: RankTolerance) -> TensorTrain:
+    """:func:`tt_decompose` of the almost symmetric tensor with k-mode
+    unfolding coeffs[:, columns], on distinct rows.
+
+    Step p of the TT-SVD factors the n^(p-1) x n r_p matrix whose rows are
+    the multi-indices of modes 1..p-1, so rows that are permutations of
+    each other are equal.  Its distinct rows, one per (p-1)-multiset and
+    weighted by the square root of its count, have the same V and singular
+    values, and the distinct rows of U S are the unweighted rows times V.
+    The next step's row for the (p-2)-multiset s and column (j, alpha) is
+    row grows[p-2][s, j] of those.  Ranks and cores are those of the dense
+    TT-SVD at ``tol``; no array is larger than M_(p-1) x n r_p.
+    """
+    _, grows, counts = tables
+    n, k = coeffs.shape[0], len(grows) + 1
+    dims = (n,) * k
+    if not np.any(coeffs):
+        return tt_zero(dims)
+    cores: list[np.ndarray] = [None] * k
+    rows, r_right = coeffs.T, 1
+    for p in range(k, 1, -1):
+        # rows: the (p-1)-multisets; columns merge (i_p, alpha_p), i_p fastest
+        v, rows = right_basis(rows, tol, np.sqrt(counts[p - 1]))
+        r_left = v.shape[1]
+        if r_left == 0:
+            return tt_zero(dims)
+        cores[p - 1] = v.T.reshape(r_left, n, r_right, order="F")
+        rows = rows[grows[p - 2]].reshape(-1, n * r_left, order="F")
+        r_right = r_left
+    cores[0] = rows.reshape(1, n, r_right, order="F")
+    return TensorTrain(tuple(cores))
 
 
 def identify_tt(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dynamics in tensor-train form.
 
-    The :func:`identify_full` tensor converted to "tt" at the recovery's
-    conversion tolerance: sequential SVDs peeling mode k first, so the
-    factor ordering matches the train-based evaluation formula.
+    The TT-SVD of the :func:`identify_full` tensor at the recovery's
+    conversion tolerance, peeling mode k first so the factor ordering
+    matches the train-based evaluation formula, taken on the monomial
+    coefficients: the n^k tensor is never formed, and every step's matrix
+    has one row per multiset of the modes not yet peeled.
     """
-    ak, conversion = _recover_unfolding(samples, k, tol)
-    n = samples.X0.shape[0]
-    tensor = fold(ak, {k}, [n] * k)
-    return HpdsModel(k, n, FORMATS["tt"].from_dense(tensor, conversion))
+    coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
+    return HpdsModel(k, samples.X0.shape[0],
+                     _symmetric_train(coeffs, tables, conversion))
+
+
+def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,
+                    tol: RankTolerance) -> HTucker:
+    """A hierarchical Tucker tree of the almost symmetric tensor with k-mode
+    unfolding coeffs[:, columns], on distinct rows.
+
+    A node's unfolding depends only on its kind (q, has_k): q of its modes
+    are among the symmetric modes 1..k-1, and has_k says whether it holds
+    mode k.  Its distinct rows are the q-multisets, times i_k when has_k
+    (multiset fastest), and its distinct columns those of the complement;
+    entry (m, m_c) reads coefficient union(m, m_c).  Weighted by the square
+    roots of their counts on both sides, they have the dense unfolding's
+    singular values, and its left singular vectors once divided by the row
+    weights.  So one basis per kind, at ``tol``, serves every node of that
+    kind: the leaves 1..k-1 share one array.  The complement's kind has the
+    transposed unfolding, so the same SVD gives its basis from V; the
+    root's two children are such a pair.
+
+    The transfer of node t with children l and r is (U_r kron U_l)^T U_t, a
+    sum over the children's multi-indices that depends only on their
+    multisets, so it runs over the children's distinct rows with the
+    counts as weights.  Its columns are signed by the rule of
+    :func:`kernels.compact_svd`, the node's basis flipped alongside.  The
+    root's basis is vec(A) itself, one coefficient per (multiset, i_k).
+    """
+    members, grows, counts = tables
+    n, k = coeffs.shape[0], tree.order
+    unions: dict = {}
+
+    def union(a: int, b: int) -> np.ndarray:
+        # M_a x M_b ranks of the (a + b)-multiset m_a + m_b
+        if (a, b) not in unions:
+            table = np.arange(counts[a].size)[:, None]
+            for j, digit in enumerate(members[b].T):
+                table = grows[a + j][table, digit]
+            unions[a, b] = np.broadcast_to(table, (counts[a].size,
+                                                   counts[b].size))
+        return unions[a, b]
+
+    weights: dict = {}
+
+    def weight(kind) -> np.ndarray:
+        if kind not in weights:
+            weights[kind] = np.tile(counts[kind[0]].astype(float),
+                                    n if kind[1] else 1)
+        return weights[kind]
+
+    def kind_of(node) -> tuple[int, bool]:
+        return len(node.modes) - (k in node.modes), k in node.modes
+
+    def merge(left, right) -> np.ndarray:
+        # parent row of each pair of child rows; i_k is the slowest index
+        table = union(left[0], right[0])
+        stride = counts[left[0] + right[0]].size * np.arange(n)
+        if left[1]:
+            return (table + stride[:, None, None]).reshape(-1, table.shape[1])
+        if right[1]:
+            return (table[:, None] + stride[:, None]).reshape(table.shape[0],
+                                                              -1)
+        return table
+
+    bases = {(k - 1, True): coeffs.reshape(-1, 1)}
+
+    def basis(kind) -> np.ndarray:
+        if kind not in bases:
+            q, has_k = kind
+            other = (k - 1 - q, not has_k)
+            block = coeffs[:, union(q, k - 1 - q)]  # (i_k, m, m_c)
+            block = (block.reshape(-1, block.shape[2]) if has_k else
+                     block.transpose(1, 0, 2).reshape(block.shape[1], -1))
+            rows, cols = np.sqrt(weight(kind)), np.sqrt(weight(other))
+            svd = compact_svd(rows[:, None] * block * cols, tol)
+            bases[kind] = svd.U / rows[:, None]
+            bases[other] = svd.V / cols[:, None]
+        return bases[kind]
+
+    values, leaf_factors, transfer = {}, {}, {}
+    for leaf in tree.leaves():
+        values[leaf.modes] = leaf_factors[leaf.modes[0]] = basis(
+            kind_of(leaf))
+    for node in sorted(tree.internal_nodes(), key=lambda t: len(t.modes)):
+        left, right = kind_of(node.left), kind_of(node.right)
+        u = basis(kind_of(node)).copy()
+        u_left = values[node.left.modes] * weight(left)[:, None]
+        u_right = values[node.right.modes] * weight(right)[:, None]
+        # explicit sizes: a -1 is ambiguous once a rank is 0
+        (rows_l, r_l), (rows_r, r_r), r_t = (u_left.shape, u_right.shape,
+                                             u.shape[1])
+        block = u[merge(left, right)].reshape(rows_l, rows_r * r_t)
+        g = u_right.T @ (u_left.T @ block).reshape(r_l, rows_r, r_t)
+        g = g.reshape(r_l * r_r, r_t, order="F")  # left child's rank fastest
+        if node is not tree.root and g.shape[0]:
+            _sign_rule(g, u)
+        values[node.modes], transfer[node.modes] = u, g
+    return HTucker(tree, (n,) * k, leaf_factors, transfer)
 
 
 def identify_ht(samples: SampleSet, k: int,
@@ -214,28 +360,22 @@ def identify_ht(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dynamics in hierarchical Tucker form.
 
-    The recovered unfolding is first folded into the dense n^k tensor;
-    building the tree from the monomial coefficients without it is ROADMAP
-    item 3.  Uses the almost-symmetry shortcut: the leaf factors of modes
-    1..k-1 are all taken from the 1-mode unfolding of that tensor, so they
-    are identical arrays.  The transfers come from the
-    leaves-to-root climb of :func:`htd_decompose` above those leaves, all at
-    the recovery's conversion tolerance.
+    Built from the monomial coefficients without the n^k tensor, at the
+    recovery's conversion tolerance: each node's basis is the left singular
+    basis of its unfolding's distinct rows and columns, one per kind of
+    node, so the leaf factors of the almost symmetric modes 1..k-1 are one
+    shared array.  The node ranks are the numerical ranks of the dense
+    unfoldings, as :func:`htd_decompose` has them; each transfer projects
+    the node's basis onto its children's.  The tree (default balanced) is
+    checked before any data is factored.
     """
-    ak, conversion = _recover_unfolding(samples, k, tol)
-    n = samples.X0.shape[0]
-    tensor = fold(ak, {k}, [n] * k)
     if tree is None:
         tree = build_tree(k)
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != k={k}")
-
-    u_first = left_basis(unfold(tensor, {1}), conversion)  # modes < k
-    leaf_factors = {p: u_first for p in range(1, k)}
-    leaf_factors[k] = left_basis(ak, conversion)
-    ht = HTucker(tree, tensor.shape, leaf_factors,
-                 _climb(tensor, tree, leaf_factors, conversion))
-    return HpdsModel(k, n, ht)
+    coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
+    return HpdsModel(k, samples.X0.shape[0],
+                     _symmetric_tree(coeffs, tables, tree, conversion))
 
 
 def _states_from_output(samples: SampleSet, n: int,
@@ -282,9 +422,8 @@ def _io_check(samples: SampleSet, k: int, n: int | None,
         raise ArgumentError("need at least two samples")
     monomials = _weighted_monomials(states[:, :t - 1], k)
     stack = _finite(np.vstack([monomials[0], samples.U0[:, :t - 1]]))
-    report, _ = _report(stack, stack.shape,
-                        _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1),
-                        required)
+    report = _report(stack, stack.shape,
+                     _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1), required)
     # exact data from an n-state system has rank(Y0) <= n, so demanding
     # >= n is the same condition there while tolerating noise-inflated rank
     if y_rank < n:
@@ -312,7 +451,7 @@ def _solve_io(samples: SampleSet, k: int, n: int | None,
               tol: RankTolerance | None):
     """(n, A_(k), B, C estimate, X0) of the finite-difference regression
     over [tau X0_hat; U0], once the io rank condition holds."""
-    report, n, c_est, states, (weighted, root, columns) = _io_check(
+    report, n, c_est, states, (weighted, root, tables) = _io_check(
         samples, k, n, tol)
     if not report.satisfied:
         raise IdentifiabilityError(report)
@@ -324,7 +463,7 @@ def _solve_io(samples: SampleSet, k: int, n: int | None,
         d.T, (x1 - x0).T,
         _khatri_rao_tol(tol, n ** (k - 1) + u0.shape[0], t - 1)).T
     count = weighted.shape[0]
-    ak = (combined[:, :count] / root)[:, columns]
+    ak = (combined[:, :count] / root)[:, _multiset_ranks(tables[1])]
     return n, ak, combined[:, count:], c_est, x0
 
 

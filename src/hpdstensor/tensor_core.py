@@ -83,44 +83,70 @@ def khatri_rao_power(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def multisets(n: int, m: int):
-    """Rank the n^m multi-indices over range(n) by their multiset.
+def multiset_tables(n: int, m: int):
+    """The multisets of sizes 0..m over range(n), level by level.
 
-    Returns ``(members, ranks, counts)``.  ``members`` is the M x m array of
-    the M = C(n+m-1, m) multisets as sorted indices, in
-    ``combinations_with_replacement(range(n), m)`` order, which is the
-    ascending order of the codes of the sorted multi-indices.  ``ranks[j]``
-    is the multiset of the j-th multi-index, the base-n digits of j; a
-    multiset does not depend on the order of its digits, so this holds for
-    psi and row-major positions alike.  ``counts`` holds how many
-    multi-indices share each multiset, the multinomial coefficients.
+    Returns ``(members, grows, counts)``, lists indexed by the size p.
+    ``members[p]`` is the M_p x p array of the M_p = C(n+p-1, p) multisets
+    as sorted indices, in ``combinations_with_replacement(range(n), p)``
+    order, which is the ascending order of the codes of the sorted
+    multi-indices.  ``grows[p]``, for p < m, is the M_p x n table of the
+    rank at size p + 1 of a multiset with one digit d added.  ``counts[p]``
+    holds how many of the n^p multi-indices share each multiset, the
+    multinomial coefficients: counts[p + 1][grows[p][s, d]] sums
+    counts[p][s].
 
-    The ranks are built one digit at a time, without sorting.  In order, the
-    multisets of size p + 1 are each multiset of size p followed by every
-    digit from its largest one, l, up.  The table ``grow`` gives the rank of
-    a multiset with one digit d added: d appended when d >= l, and else l
-    appended to the previous level's grow[s, d], s the multiset without l.
+    No table is sorted.  In order, the multisets of size p + 1 are each
+    multiset of size p followed by every digit from its largest one, l, up.
+    So grows[p][s, d] is d appended when d >= l, and else l appended to
+    grows[p - 1][s', d], s' the multiset without l.
     """
     if n < 1 or m < 1:
         raise ArgumentError("need n >= 1 and m >= 1")
     digits = np.arange(n)
-    members = digits[:, None]
-    ranks = digits
-    grow = digits[None, :]  # from the empty multiset
+    members = [np.zeros((1, 0), dtype=np.intp), digits[:, None]]
+    grows = [digits[None, :]]  # from the empty multiset
     parent = np.zeros(n, dtype=np.intp)
     for _ in range(1, m):
-        last = members[:, -1]
+        last = members[-1][:, -1]
         start = np.cumsum(n - last) - (n - last) - last  # rank of (s, 0)
         append = start[:, None] + digits  # valid where digit >= last
-        inserted = start[grow[parent]] + last[:, None]
-        grow = np.where(digits >= last[:, None], append, inserted)
-        owner = np.repeat(np.arange(members.shape[0]), n - last)
-        members = np.column_stack(
-            [members[owner], np.arange(owner.size) - start[owner]])
+        inserted = start[grows[-1][parent]] + last[:, None]
+        grows.append(np.where(digits >= last[:, None], append, inserted))
+        owner = np.repeat(np.arange(last.size), n - last)
+        members.append(np.column_stack(
+            [members[-1][owner], np.arange(owner.size) - start[owner]]))
         parent = owner
+    counts = [np.ones(1, dtype=np.intp)]
+    for p, grow in enumerate(grows):
+        # exact: a count is at most n^p, far below 2^53
+        counts.append(np.bincount(grow.ravel(), np.repeat(counts[p], n),
+                                  members[p + 1].shape[0]).astype(np.intp))
+    return members, grows, counts
+
+
+def _multiset_ranks(grows) -> np.ndarray:
+    """The multiset rank of each of the n^m multi-indices, from the
+    :func:`multiset_tables` grow tables: one digit added at a time."""
+    ranks = grows[0].ravel()
+    for grow in grows[1:]:
         ranks = grow[ranks].ravel()
-    counts = np.bincount(ranks, minlength=members.shape[0])
-    return members.astype(np.min_scalar_type(n)), ranks, counts
+    return ranks
+
+
+def multisets(n: int, m: int):
+    """Rank the n^m multi-indices over range(n) by their multiset.
+
+    Returns ``(members, ranks, counts)``: the size-m ``members`` and
+    ``counts`` of :func:`multiset_tables`, and ``ranks[j]``, the multiset of
+    the j-th multi-index, the base-n digits of j.  A multiset does not
+    depend on the order of its digits, so this holds for psi and row-major
+    positions alike.  The ranks are built one digit at a time through the
+    grow tables, without sorting.
+    """
+    members, grows, counts = multiset_tables(n, m)
+    return (members[m].astype(np.min_scalar_type(n)), _multiset_ranks(grows),
+            counts[m])
 
 
 def kron_power(v: np.ndarray, m: int) -> np.ndarray:

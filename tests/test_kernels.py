@@ -131,6 +131,22 @@ class TestRightBasis:
         v, us = right_basis(np.zeros((7, 3)))
         assert v.shape == (3, 0) and us.shape == (7, 0)
 
+    @pytest.mark.parametrize("rows,cols,rank", [(30, 6, 6), (30, 6, 3),
+                                                (4, 9, 4)])
+    def test_weighted_rows_stand_for_repeated_rows(self, rows, cols, rank):
+        # row i weighted by sqrt(c_i) has the V of the matrix that repeats
+        # it c_i times, and the distinct rows of its U S
+        rng = np.random.default_rng(rows + rank)
+        a = rng.standard_normal((rows, rank)) @ \
+            rng.standard_normal((rank, cols))
+        counts = rng.integers(1, 5, rows)
+        tol = RankTolerance(value=1e-12)
+        v_ref, us_ref = right_basis(np.repeat(a, counts, axis=0), tol)
+        v, us = right_basis(a, tol, np.sqrt(counts))
+        assert v.shape == v_ref.shape == (cols, rank)
+        assert np.allclose(v, v_ref, atol=1e-10)
+        assert np.allclose(np.repeat(us, counts, axis=0), us_ref, atol=1e-10)
+
 
 class TestNumericalRank:
     def test_identity(self):

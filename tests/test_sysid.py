@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from hpdstensor import kernels, sysid
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import (ArgumentError, AssumptionError,
-                               IdentifiabilityError, NumericError)
-from hpdstensor.hier_tucker import htd_reconstruct
+                               IdentifiabilityError, NumericError, ShapeError)
+from hpdstensor.hier_tucker import (DimensionTree, TreeNode, build_tree,
+                                    htd_decompose, htd_reconstruct)
 from hpdstensor.kernels import RankTolerance, compact_svd, pinv
-from hpdstensor.model import HpdsModel, SampleSet, eval_derivative, \
-    simulate_discrete
+from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, eval_derivative,
+                              format_of, simulate_discrete)
 from hpdstensor.sysid import (check_identifiability_autonomous,
                               check_identifiability_io, identify_full,
                               identify_ht, identify_io, identify_io_noisy,
                               identify_tt, required_rank)
-from hpdstensor.tensor_train import tt_reconstruct
+from hpdstensor.tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 
 def exact_autonomous_samples(tensor, t_count, seed, scale=1.0):
@@ -128,8 +129,10 @@ class TestIdentifiabilityAutonomous:
             ref.S[0])
         if ref.rank:
             assert abs(report.margin - ref.S[-1]) <= 1e-10 * ref.S[-1]
+            assert abs(report.condition - ref.S[0] / ref.S[-1]) <= \
+                1e-9 * report.condition
         else:
-            assert report.margin == 0.0
+            assert report.margin == 0.0 and report.condition == math.inf
 
     @pytest.mark.parametrize("tol", [None, RankTolerance()])
     def test_threshold_stays_at_the_data_shape(self, tol):
@@ -209,6 +212,21 @@ class TestIdentifyFull:
         got = tc.unfold(model.dynamics, {3})
         assert np.linalg.norm(got - unfolding) <= \
             1e-12 * np.linalg.norm(unfolding)
+
+    def test_conversion_tolerance_from_the_condition_number(self):
+        rng = np.random.default_rng(5)
+        n, k, t_count = 3, 3, 14
+        truth = tc.almost_symmetrize(rng.standard_normal((n,) * k))
+        s = exact_autonomous_samples(truth, t_count, 6)
+        report = check_identifiability_autonomous(s, k)
+        _, conversion, _ = sysid._recover_coefficients(s, k, None)
+        # this report's QR lacks the derivative columns, so it may differ in
+        # the last bits
+        assert conversion.value == pytest.approx(
+            max(n ** (k - 1), t_count) * np.finfo(float).eps *
+            report.condition, rel=1e-12)
+        user = RankTolerance("absolute", 1e-9)
+        assert sysid._recover_coefficients(s, k, user)[1] is user
 
     def test_condition_failure_raises_with_report(self):
         rng = np.random.default_rng(7)
@@ -303,6 +321,20 @@ class TestIdentifyDecomposed:
         assert h.leaf_factors[1] is h.leaf_factors[2]
         assert h.leaf_factors[2] is h.leaf_factors[3]
 
+    def test_ht_checks_the_tree_before_the_data(self, monkeypatch):
+        # unidentifiable data and a tree of the wrong order: the tree is
+        # reported, and no factorization runs
+        rng = np.random.default_rng(7)
+        s = SampleSet(tau=0.1, X0=rng.standard_normal((3, 4)),
+                      X1=rng.standard_normal((3, 4)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data factored")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        with pytest.raises(ShapeError):
+            identify_ht(s, 3, tree=build_tree(5))
+
     def test_ht_node_ranks_match_unfoldings(self):
         rng = np.random.default_rng(22)
         truth = tc.almost_symmetrize(rng.standard_normal((2, 2, 2, 2)))
@@ -341,7 +373,8 @@ class TestWeightedMonomials:
         x0 = rng.standard_normal((n, t_count))
         x1 = rng.standard_normal((n, t_count))
         kr = tc.khatri_rao_power(x0, k - 1)
-        weighted, root, columns = sysid._weighted_monomials(x0, k)
+        weighted, root, (_, grows, _) = sysid._weighted_monomials(x0, k)
+        columns = tc._multiset_ranks(grows)
         assert weighted.shape == (required_rank(n, k), t_count)
         want = np.linalg.svd(kr, compute_uv=False)
         got = np.linalg.svd(weighted, compute_uv=False)
@@ -388,6 +421,116 @@ class TestWeightedMonomials:
         assert peak < 16 * 2 ** 20
         assert np.allclose(eval_derivative(model, s.X0[:, 0]), s.X1[:, 0],
                            atol=1e-8)
+
+
+def caterpillar_tree(k):
+    """Node {1..p} has children {1..p-1} and {p}."""
+    node = TreeNode((1,))
+    for p in range(2, k + 1):
+        node = TreeNode(tuple(range(1, p + 1)), node, TreeNode((p,)))
+    return DimensionTree(node)
+
+
+def balanced_tree_over(order):
+    """The balanced split of the modes in the given order, so that
+    ``(k, 1, ..., k-1)`` puts mode k in the root's left child."""
+    def split(modes):
+        if len(modes) == 1:
+            return TreeNode(modes)
+        half = (len(modes) + 1) // 2
+        return TreeNode(tuple(sorted(modes)), split(modes[:half]),
+                        split(modes[half:]))
+    return DimensionTree(split(tuple(order)))
+
+
+def coefficient_samples(n, k, truth, extra, seed):
+    """Exact samples of the almost symmetric system with n x M monomial
+    coefficients ``truth``: X1 = (truth W) R, R the monomials of X0 and W
+    their multiplicities, which is A_(k) KR without either being formed."""
+    members, _, counts = tc.multiset_tables(n, k - 1)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, (n, required_rank(n, k) + extra))
+    monomials = np.ones((members[k - 1].shape[0], x0.shape[1]))
+    for digits in members[k - 1].T:
+        monomials = monomials * x0[digits]
+    return SampleSet(tau=0.01, X0=x0, X1=(truth * counts[k - 1]) @ monomials)
+
+
+def coefficient_truth(kind, n, k, rank, seed):
+    """Coefficients of a generic almost symmetric tensor, of
+    sum_j v_j^(k-1) z_j with ``rank`` terms, or of zero."""
+    members = tc.multiset_tables(n, k - 1)[0][k - 1]
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        return rng.uniform(-1.0, 1.0, (n, members.shape[0]))
+    if kind == "zero":
+        return np.zeros((n, members.shape[0]))
+    v = rng.uniform(-1.0, 1.0, (rank, n))
+    terms = np.ones((rank, members.shape[0]))
+    for digits in members.T:
+        terms = terms * v[:, digits]
+    return rng.uniform(-1.0, 1.0, (n, rank)) @ terms
+
+
+class TestDecomposedFromCoefficients:
+    """identify_tt and identify_ht decompose the monomial coefficients and
+    reach the dense decompositions of the identify_full tensor."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 5), k=st.integers(2, 9),
+           kind=st.sampled_from(["generic", "low_rank", "zero"]),
+           rank=st.integers(1, 3), extra=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 16))
+    def test_same_ranks_as_the_dense_decompositions(self, n, k, kind, rank,
+                                                    extra, seed):
+        s = coefficient_samples(n, k, coefficient_truth(kind, n, k, rank,
+                                                        seed), extra, seed)
+        dense = identify_full(s, k).dynamics
+        conversion = sysid._recover_coefficients(s, k, None)[1]
+        train = identify_tt(s, k).dynamics
+        ref = tt_decompose(dense, tol=conversion)
+        assert train.ranks == ref.ranks
+        for got, want in zip(train.cores, ref.cores):
+            assert np.max(np.abs(got - want)) <= \
+                1e-11 * max(1.0, np.max(np.abs(want)))
+        for tree in (build_tree(k), caterpillar_tree(k),
+                     balanced_tree_over((k,) + tuple(range(1, k)))):
+            h = identify_ht(s, k, tree).dynamics
+            ref = htd_decompose(dense, tree, conversion)
+            for node, _ in tree.walk():
+                assert h.rank_of(node.modes) == ref.rank_of(node.modes)
+            # both drop the recovery's roundoff, which dense still holds
+            assert np.linalg.norm(htd_reconstruct(h) - htd_reconstruct(ref)) \
+                <= 1e-11 * np.linalg.norm(dense)
+
+    def test_memory_peak_at_n4_k11(self):
+        # the dense tensor alone would be 4^11 doubles, 32 MB; the truth is
+        # built as a train, sum_j v_j^(k-1) z_j with diagonal cores, so the
+        # test never forms it either
+        n, k, r = 4, 11, 3
+        rng = np.random.default_rng(41)
+        v, z = rng.uniform(-1.0, 1.0, (r, n)), rng.uniform(-1.0, 1.0, (n, r))
+        middle = np.zeros((r, n, r))
+        middle[np.arange(r), :, np.arange(r)] = v
+        truth = HpdsModel(k, n, TensorTrain(
+            (v.T[None],) + (middle,) * (k - 2) + (z.T[:, :, None],)))
+        x0 = rng.uniform(-1.0, 1.0, (n, 2 * required_rank(n, k)))
+        s = SampleSet(tau=0.01, X0=x0, X1=np.column_stack(
+            [eval_derivative(truth, x) for x in x0.T]))
+        for identify in (identify_tt, identify_ht):
+            tracemalloc.start()
+            try:
+                model = identify(s, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20
+            assert FORMATS[format_of(model.dynamics)].max_rank(
+                model.dynamics) == r
+            for x in rng.uniform(-1.0, 1.0, (4, n)):
+                want = eval_derivative(truth, x)
+                assert np.linalg.norm(eval_derivative(model, x) - want) <= \
+                    1e-10 * np.linalg.norm(want)
 
 
 def io_setup(seed, n=3, k=3, m=2, l=4, t_factor=3, tau=0.05, sigma=0.0,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -354,7 +355,28 @@ class TestMultisets:
             assert tuple(members[ranks[j]]) == tuple(sorted(digits))
         assert counts.sum() == 3 ** 4
 
+    @pytest.mark.parametrize("n,m", [(3, 4), (1, 3), (4, 1), (2, 5)])
+    def test_tables_of_every_level(self, n, m):
+        members, grows, counts = tc.multiset_tables(n, m)
+        assert len(members) == len(counts) == m + 1 and len(grows) == m
+        for p in range(m + 1):
+            combos = list(itertools.combinations_with_replacement(range(n),
+                                                                  p))
+            assert [tuple(row) for row in members[p]] == combos
+            tuples = collections.Counter(
+                tuple(sorted(digits))
+                for digits in itertools.product(range(n), repeat=p))
+            assert counts[p].tolist() == [tuples[c] for c in combos]
+            if p < m:
+                rank = {c: j for j, c in enumerate(
+                    itertools.combinations_with_replacement(range(n), p + 1))}
+                assert grows[p].tolist() == [
+                    [rank[tuple(sorted(c + (d,)))] for d in range(n)]
+                    for c in combos]
+
     def test_domain_checks(self):
+        with pytest.raises(ArgumentError):
+            tc.multiset_tables(2, 0)
         with pytest.raises(ArgumentError):
             tc.multisets(3, 0)
         with pytest.raises(ArgumentError):
