@@ -11,9 +11,9 @@ central correctness oracle.
 
 from .errors import (ArgumentError, AssumptionError, DivergenceError,
                      HpdsError, IdentifiabilityError, NumericError,
-                     ScaleError, ShapeError, UnsupportedError)
-from .kernels import (CompactSvd, RankTolerance, compact_svd, least_squares,
-                      numerical_rank, pinv, subspace_equal)
+                     ScaleError, ShapeError)
+from .kernels import (CompactSvd, RankTolerance, compact_svd, numerical_rank,
+                      subspace_equal)
 from .tensor_core import (almost_symmetrize, fold, hpds_eval_full,
                           is_almost_symmetric, khatri_rao, khatri_rao_power,
                           kron, mode_vec_product, psi_index, unfold)

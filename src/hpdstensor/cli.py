@@ -22,7 +22,7 @@ from functools import cache, partial
 from . import analysis, benchmarks, serialize
 from .errors import (ArgumentError, AssumptionError, DivergenceError,
                      HpdsError, IdentifiabilityError, NumericError,
-                     ScaleError, ShapeError, UnsupportedError)
+                     ScaleError, ShapeError)
 from .kernels import RankTolerance
 from .model import FORMATS, add_noise, simulate_continuous, simulate_discrete
 from .randomness import generator
@@ -279,7 +279,7 @@ def run(argv) -> int:
     except ScaleError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
         return 4
-    except (ArgumentError, ShapeError, UnsupportedError, AssumptionError,
+    except (ArgumentError, ShapeError, AssumptionError,
             HpdsError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

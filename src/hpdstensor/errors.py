@@ -43,7 +43,3 @@ class AssumptionError(HpdsError, ValueError):
 
 class ScaleError(HpdsError):
     """The requested computation exceeds the configured size guard."""
-
-
-class UnsupportedError(HpdsError, ValueError):
-    """The operation is outside the supported argument class."""

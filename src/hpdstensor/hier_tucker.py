@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kernels import RankTolerance, left_basis
+from .kernels import RankTolerance, _tol_at, left_basis
 from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "htd_reconstruct", "htd_eval_hpds", "htd_evaluator", "htd_contract",
     "htd_sweep", "htd_param_count",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -187,10 +185,8 @@ class HTucker:
 def _node_tol(tol: RankTolerance | None, dims, modes) -> RankTolerance:
     """``tol``, or the default threshold at the shape of the node's dense
     unfolding, so that the smaller projected matrix keeps the same ranks."""
-    if tol is not None:
-        return tol
     rows = math.prod(dims[p - 1] for p in modes)
-    return RankTolerance(value=max(rows, math.prod(dims) // rows) * _EPS)
+    return _tol_at(tol, (rows, math.prod(dims) // rows))
 
 
 def _mode_unfolding(tensor: np.ndarray, p: int) -> np.ndarray:

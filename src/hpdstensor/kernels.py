@@ -1,10 +1,11 @@
-"""Shared numerical linear algebra: compact SVD, rank, pinv, least squares.
+"""Shared numerical linear algebra: compact SVD, rank, singular bases.
 
 Every rank decision in the package goes through :class:`RankTolerance` so the
-threshold is overridable in one place.  The compact SVD fixes a deterministic
-sign convention (largest-magnitude entry of each left singular vector is
-positive), which makes identification and controllability outputs
-reproducible across runs.
+threshold is overridable in one place; :func:`_tol_at` states the default
+threshold of a matrix that stands in for a larger one.  The compact SVD
+fixes a deterministic sign convention (largest-magnitude entry of each left
+singular vector is positive), which makes identification and
+controllability outputs reproducible across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, ShapeError
+from .errors import ArgumentError, NumericError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -48,6 +49,16 @@ DEFAULT_TOL = RankTolerance()
 
 def _resolve(tol: RankTolerance | None) -> RankTolerance:
     return DEFAULT_TOL if tol is None else tol
+
+
+def _tol_at(tol: RankTolerance | None, shape) -> RankTolerance:
+    """``tol``, or the default threshold at ``shape``.
+
+    A smaller matrix that shares the singular values of one of ``shape``
+    (a triangular factor, or distinct rows weighted by their counts) reaches
+    that matrix's verdicts at this tolerance.
+    """
+    return RankTolerance(value=max(shape) * _EPS) if tol is None else tol
 
 
 @dataclass(frozen=True)
@@ -109,9 +120,8 @@ def left_basis(matrix: np.ndarray,
     m, n = matrix.shape
     if not 0 < m < n:
         return compact_svd(matrix, tol).U
-    if tol is None:
-        tol = RankTolerance(value=n * _EPS)
-    return compact_svd(np.linalg.qr(matrix.T, mode="r").T, tol).U
+    return compact_svd(np.linalg.qr(matrix.T, mode="r").T,
+                       _tol_at(tol, matrix.shape)).U
 
 
 def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
@@ -139,9 +149,8 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
             return svd.V, svd.U * svd.S
         v = svd.V
     else:
-        if tol is None:
-            tol = RankTolerance(value=m * _EPS)
-        v = compact_svd(np.linalg.qr(weighted, mode="r"), tol).V
+        v = compact_svd(np.linalg.qr(weighted, mode="r"),
+                        _tol_at(tol, matrix.shape)).V
     us = matrix @ v
     _sign_rule(us, v)
     return v, us
@@ -149,25 +158,6 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
 
 def numerical_rank(matrix: np.ndarray, tol: RankTolerance | None = None) -> int:
     return compact_svd(matrix, tol).rank
-
-
-def pinv(matrix: np.ndarray, tol: RankTolerance | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse through the compact SVD."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    d = compact_svd(matrix, tol)
-    if d.rank == 0:
-        return np.zeros((matrix.shape[1], matrix.shape[0]))
-    return (d.V / d.S) @ d.U.T
-
-
-def least_squares(a: np.ndarray, b: np.ndarray,
-                  tol: RankTolerance | None = None) -> np.ndarray:
-    """Minimum-norm minimizer of ||a x - b||_F."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(f"row mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return pinv(a, tol) @ b
 
 
 def orthonormal_deviation(u: np.ndarray) -> float:

@@ -7,10 +7,11 @@ the finite-difference relation.  Neither forms KR (n^(k-1) x T): both work
 on its C(n+k-2, k-1) distinct monomial rows, weighted by the square roots of
 their multiplicities, which have KR's singular values, and gather the
 unfolding's columns from one coefficient per monomial.  Rank conditions are
-decided on singular values alone.  The autonomous regression is one QR
-factorization of the monomials stacked beside the derivatives, which gives
-both the data's singular values and a triangular solve for the
-coefficients, so no singular vectors are computed.
+decided on singular values alone.  Every regression (autonomous, io
+dynamics, io output map) is one QR factorization of its design stacked
+beside its target, :func:`_qr_fit`, which gives both the design's singular
+values and a triangular solve for the coefficients, so no singular vectors
+are computed.
 
 Only the full result folds the n^k tensor.  The tensor train and the
 hierarchical Tucker tree are built from the n x M coefficients directly:
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
 from .hier_tucker import DimensionTree, HTucker, build_tree
-from .kernels import (RankTolerance, _sign_rule, compact_svd, least_squares,
+from .kernels import (RankTolerance, _sign_rule, _tol_at, compact_svd,
                       right_basis)
 from .model import HpdsModel, SampleSet
 from .tensor_core import _multiset_ranks, fold, multiset_tables
@@ -127,32 +128,41 @@ def _weighted_monomials(x: np.ndarray, k: int):
     return root[:, None] * rows, root, tables
 
 
-def _khatri_rao_tol(tol: RankTolerance | None, rows: int,
-                    cols: int) -> RankTolerance:
-    """``tol``, or the default threshold at the shape of the Khatri-Rao data
-    matrix, so that the smaller monomial matrix reaches the same verdicts."""
-    return RankTolerance(value=max(rows, cols) * _EPS) if tol is None else tol
+def _qr_fit(design: np.ndarray, target: np.ndarray | None, shape,
+            tol: RankTolerance | None, required: int):
+    """The rank report of the rows x T ``design`` and the triangular factor
+    of the QR factorization of [design^T | target^T].
+
+    The factor's leading block R11, rows x rows once T >= rows, is the
+    triangular factor of design^T, so it has the design's singular values;
+    the block R12 beside it is Q^T target^T.  The threshold is ``tol``'s, or
+    the default at ``shape``, the data matrix the design stands in for.
+    Without ``target`` only the design is factored.
+    """
+    stack = design.T if target is None else np.hstack([design.T, target.T])
+    tri = np.linalg.qr(_finite(stack), mode="r")
+    count = design.shape[0]
+    return (_report(tri[:count, :count], design.shape, _tol_at(tol, shape),
+                    required), tri)
+
+
+def _qr_solve(tri: np.ndarray, count: int) -> np.ndarray:
+    """The least-squares coefficients (R11^{-1} R12)^T of a :func:`_qr_fit`
+    whose design has ``count`` rows and full row rank: target pinv(design),
+    with no singular vectors."""
+    return np.linalg.solve(tri[:count, :count], tri[:count, count:]).T
 
 
 def _autonomous_qr(x0: np.ndarray, k: int, tol: RankTolerance | None,
                    x1: np.ndarray | None = None):
-    """The rank report of W^{1/2} R from the QR factorization of
-    [(W^{1/2} R)^T | X1^T], with the triangular factor, the weights and the
-    multiset tables.
-
-    The factor's leading block R11, M x M once T >= M, is the triangular
-    factor of (W^{1/2} R)^T, so it has the data's singular values; the block
-    R12 beside it is Q^T X1^T.  Without ``x1`` only the monomials are
-    factored.
-    """
+    """:func:`_qr_fit` of the weighted monomials W^{1/2} R against X1, with
+    the threshold at the Khatri-Rao power's shape, so that the smaller
+    monomial matrix reaches the same verdicts; also the weights and the
+    multiset tables."""
     n, t = x0.shape
     weighted, root, tables = _weighted_monomials(x0, k)
-    stack = weighted.T if x1 is None else np.hstack([weighted.T, x1.T])
-    tri = np.linalg.qr(_finite(stack), mode="r")
-    count = weighted.shape[0]
-    report = _report(tri[:count, :count], weighted.shape,
-                     _khatri_rao_tol(tol, n ** (k - 1), t),
-                     required_rank(n, k))
+    report, tri = _qr_fit(weighted, x1, (n ** (k - 1), t), tol,
+                          required_rank(n, k))
     return report, tri, root, tables
 
 
@@ -189,8 +199,7 @@ def _recover_coefficients(samples: SampleSet, k: int,
     report, tri, root, tables = _autonomous_qr(samples.X0, k, tol, samples.X1)
     if not report.satisfied:
         raise IdentifiabilityError(report)
-    count = root.size
-    coeffs = np.linalg.solve(tri[:count, :count], tri[:count, count:]).T / root
+    coeffs = _qr_solve(tri, root.size) / root
     if tol is None:
         tol = RankTolerance(value=max(n ** (k - 1), t) * _EPS *
                             report.condition)
@@ -400,13 +409,18 @@ def _resolve_n(samples: SampleSet, n: int | None) -> int:
     return samples.X0.shape[0]
 
 
-def _io_check(samples: SampleSet, k: int, n: int | None,
-              tol: RankTolerance | None):
-    """The io rank report, with the pieces of the regression it built.
+def _io_fit(samples: SampleSet, k: int, n: int | None,
+            tol: RankTolerance | None, fit: bool = False):
+    """``(report, model, X0)``: the io rank report, the model that solves
+    the finite-difference regression (None without ``fit``) and the states
+    it is solved over.
 
-    Returns ``(report, n, c_est, states, monomials)``: the states are
-    reconstructed from Y0 once, and ``monomials`` is
-    :func:`_weighted_monomials` of all but the last state column.
+    The states are reconstructed from Y0 once.  The regression of
+    X1 - X0 over [W^{1/2} R; U0], the weighted monomials of X0 over the
+    inputs, is one :func:`_qr_fit`, which also gives the report.  tau is
+    divided out of the monomial coefficients instead of scaling the design
+    by it, which changes neither the rank nor the fitted dynamics.  The
+    model's C is the output basis.
     """
     if samples.U0 is None or samples.Y0 is None:
         raise ArgumentError("io identification needs U0 and Y0")
@@ -414,21 +428,30 @@ def _io_check(samples: SampleSet, k: int, n: int | None,
     if samples.Y0.shape[0] < n:
         raise AssumptionError(f"need l >= n outputs, got l={samples.Y0.shape[0]}")
     m = samples.U0.shape[0]
-    required = required_rank(n, k) + m
-
     c_est, states, y_rank = _states_from_output(samples, n, tol)
     t = states.shape[1]
     if t < 2:
         raise ArgumentError("need at least two samples")
-    monomials = _weighted_monomials(states[:, :t - 1], k)
-    stack = _finite(np.vstack([monomials[0], samples.U0[:, :t - 1]]))
-    report = _report(stack, stack.shape,
-                     _khatri_rao_tol(tol, n ** (k - 1) + m, t - 1), required)
+    x0 = states[:, :t - 1]
+    weighted, root, tables = _weighted_monomials(x0, k)
+    design = np.vstack([weighted, samples.U0[:, :t - 1]])
+    report, tri = _qr_fit(design, states[:, 1:] - x0 if fit else None,
+                          (n ** (k - 1) + m, t - 1), tol,
+                          required_rank(n, k) + m)
     # exact data from an n-state system has rank(Y0) <= n, so demanding
     # >= n is the same condition there while tolerating noise-inflated rank
     if y_rank < n:
         report = replace(report, satisfied=False)
-    return report, n, c_est, states, monomials
+    if not fit:
+        return report, None, x0
+    if not report.satisfied:
+        raise IdentifiabilityError(report)
+    coeffs = _qr_solve(tri, design.shape[0])
+    count = root.size
+    ak = (coeffs[:, :count] / (samples.tau * root))[
+        :, _multiset_ranks(tables[1])]
+    return report, HpdsModel(k, n, fold(ak, {k}, [n] * k),
+                             B=coeffs[:, count:], C=c_est), x0
 
 
 def check_identifiability_io(samples: SampleSet, k: int,
@@ -444,27 +467,7 @@ def check_identifiability_io(samples: SampleSet, k: int,
     stacked rank.  The Khatri-Rao power enters through its weighted distinct
     monomial rows, which give the stack the same singular values.
     """
-    return _io_check(samples, k, n, tol)[0]
-
-
-def _solve_io(samples: SampleSet, k: int, n: int | None,
-              tol: RankTolerance | None):
-    """(n, A_(k), B, C estimate, X0) of the finite-difference regression
-    over [tau X0_hat; U0], once the io rank condition holds."""
-    report, n, c_est, states, (weighted, root, tables) = _io_check(
-        samples, k, n, tol)
-    if not report.satisfied:
-        raise IdentifiabilityError(report)
-    t = states.shape[1]
-    x0, x1 = states[:, :t - 1], states[:, 1:]
-    u0 = samples.U0[:, :t - 1]
-    d = np.vstack([samples.tau * weighted, u0])
-    combined = least_squares(
-        d.T, (x1 - x0).T,
-        _khatri_rao_tol(tol, n ** (k - 1) + u0.shape[0], t - 1)).T
-    count = weighted.shape[0]
-    ak = (combined[:, :count] / root)[:, _multiset_ranks(tables[1])]
-    return n, ak, combined[:, count:], c_est, x0
+    return _io_fit(samples, k, n, tol)[0]
 
 
 def identify_io(samples: SampleSet, k: int, n: int | None = None,
@@ -477,8 +480,7 @@ def identify_io(samples: SampleSet, k: int, n: int | None = None,
     is unique up to the basis, so accuracy is asserted on reproduced
     outputs, not raw parameters.
     """
-    n, ak, b, c_est, _ = _solve_io(samples, k, n, tol)
-    return HpdsModel(k, n, fold(ak, {k}, [n] * k), B=b, C=c_est)
+    return _io_fit(samples, k, n, tol, fit=True)[1]
 
 
 def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
@@ -486,12 +488,15 @@ def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
     """Least-squares identification for noisy input-output data.
 
     Solves the two decoupled regressions (dynamics over [tau X0_hat; U0],
-    output matrix over X0).  The recovered tensor is almost symmetric by
-    construction, as on the autonomous path; with sigma = 0 this coincides
-    with :func:`identify_io` up to roundoff.
+    output matrix over X0), each one QR factorization.  The output
+    regression needs X0 of rank n, or :class:`IdentifiabilityError` is
+    raised.  The recovered tensor is almost symmetric by construction, as
+    on the autonomous path; with sigma = 0 this coincides with
+    :func:`identify_io` up to roundoff.
     """
-    n, ak, b, _, x0 = _solve_io(samples, k, n, tol)
-    # output regression against the reconstructed states
-    t = x0.shape[1]
-    c_est = least_squares(x0.T, samples.Y0[:, :t].T, tol).T
-    return HpdsModel(k, n, fold(ak, {k}, [n] * k), B=b, C=c_est)
+    _, model, x0 = _io_fit(samples, k, n, tol, fit=True)
+    report, tri = _qr_fit(x0, samples.Y0[:, :x0.shape[1]], x0.shape, tol,
+                          model.n)
+    if not report.satisfied:
+        raise IdentifiabilityError(report)
+    return replace(model, C=_qr_solve(tri, model.n))

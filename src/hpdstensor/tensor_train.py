@@ -66,33 +66,21 @@ def tt_zero(dims) -> TensorTrain:
     return TensorTrain(tuple(np.zeros((1, int(n), 1)) for n in dims))
 
 
-def tt_decompose(source: np.ndarray, dims=None,
+def tt_decompose(source: np.ndarray,
                  tol: RankTolerance | None = None) -> TensorTrain:
-    """Build a tensor train by sequential compact SVDs, mode k first.
+    """Build a tensor train of the order-k array ``source`` by sequential
+    compact SVDs, mode k first.
 
-    ``source`` is either an order-k array, or the k-mode unfolding
-    (n_k x n_1 ... n_{k-1}, psi column order) together with ``dims``.
     Interior ranks equal the numerical ranks of the sequential unfoldings
     A_({1..p}), and reconstruction matches the input up to the tolerance.
     A tall step matrix reaches its SVD as the triangular factor of its QR
     (:func:`kernels.right_basis`), so no SVD has more than n * max rank rows.
     """
     source = np.asarray(source, dtype=float)
-    if dims is None:
-        if source.ndim < 1:
-            raise ShapeError("source must have order >= 1")
-        dims = source.shape
-        c = (unfold(source, range(1, source.ndim)) if source.ndim > 1
-             else source.reshape(-1, 1))
-    else:
-        dims = tuple(int(n) for n in dims)
-        rows = int(np.prod(dims[:-1]))
-        if source.shape != (dims[-1], rows):
-            raise ShapeError(
-                f"k-mode unfolding must be {(dims[-1], rows)}, got {source.shape}")
-        c = source.T.copy()
-    dims = tuple(int(n) for n in dims)
-    k = len(dims)
+    if source.ndim < 1:
+        raise ShapeError("source must have order >= 1")
+    dims, k = source.shape, source.ndim
+    c = unfold(source, range(1, k)) if k > 1 else source.reshape(-1, 1)
     if k == 1:
         return TensorTrain((c.reshape(1, dims[0], 1, order="F"),))
     if not np.any(c):

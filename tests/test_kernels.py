@@ -3,9 +3,8 @@ import pytest
 
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import ArgumentError, NumericError, ShapeError
-from hpdstensor.kernels import (RankTolerance, compact_svd, least_squares,
-                                numerical_rank, pinv, right_basis,
-                                subspace_equal)
+from hpdstensor.kernels import (RankTolerance, compact_svd, numerical_rank,
+                                right_basis, subspace_equal)
 
 
 class TestCompactSvd:
@@ -173,52 +172,6 @@ class TestNumericalRank:
         assert numerical_rank(q1 @ m @ q2) == numerical_rank(m) == 2
         perm = rng.permutation(6)
         assert numerical_rank(m[:, perm]) == 2
-
-
-class TestPinv:
-    def test_invertible_matches_inverse(self):
-        m = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert np.allclose(pinv(m), np.linalg.inv(m))
-
-    def test_zero(self):
-        assert not np.any(pinv(np.zeros((3, 2))))
-        assert pinv(np.zeros((3, 2))).shape == (2, 3)
-
-    def test_penrose_identities(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((4, 6))
-        p = pinv(m)
-        assert np.max(np.abs(m @ p @ m - m)) <= 1e-10
-        assert np.max(np.abs(p @ m @ p - p)) <= 1e-10
-        assert np.max(np.abs((m @ p).T - m @ p)) <= 1e-10
-        assert np.max(np.abs((p @ m).T - p @ m)) <= 1e-10
-
-    def test_double_pinv_restores_full_rank_matrix(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((5, 3))
-        assert np.max(np.abs(pinv(pinv(m)) - m)) <= 1e-10
-
-
-class TestLeastSquares:
-    def test_square_consistent(self):
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        b = np.array([[2.0], [8.0]])
-        assert np.allclose(least_squares(a, b), [[1.0], [2.0]])
-
-    def test_residual_orthogonal_to_range(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((10, 3))
-        b = rng.standard_normal((10, 2))
-        x = least_squares(a, b)
-        assert np.max(np.abs(a.T @ (a @ x - b))) <= 1e-10
-
-    def test_zero_matrix_gives_minimum_norm_zero(self):
-        x = least_squares(np.zeros((3, 2)), np.ones((3, 1)))
-        assert not np.any(x)
-
-    def test_row_mismatch(self):
-        with pytest.raises(ShapeError):
-            least_squares(np.ones((3, 2)), np.ones((4, 1)))
 
 
 class TestSubspaceEqual:

@@ -13,7 +13,7 @@ from hpdstensor.errors import (ArgumentError, AssumptionError,
                                IdentifiabilityError, NumericError, ShapeError)
 from hpdstensor.hier_tucker import (DimensionTree, TreeNode, build_tree,
                                     htd_decompose, htd_reconstruct)
-from hpdstensor.kernels import RankTolerance, compact_svd, pinv
+from hpdstensor.kernels import RankTolerance, compact_svd
 from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, eval_derivative,
                               format_of, simulate_discrete)
 from hpdstensor.sysid import (check_identifiability_autonomous,
@@ -181,8 +181,8 @@ class TestIdentifyFull:
         x0 = rng.standard_normal((n, 12))
         s = SampleSet(tau=0.1, X0=x0, X1=a @ x0)
         model = identify_full(s, 2)
-        assert np.allclose(tc.unfold(model.dynamics, {2}), s.X1 @ pinv(s.X0),
-                           atol=1e-10)
+        assert np.allclose(tc.unfold(model.dynamics, {2}),
+                           s.X1 @ np.linalg.pinv(s.X0), atol=1e-10)
 
     def test_one_svd_of_the_khatri_rao_power(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -208,7 +208,7 @@ class TestIdentifyFull:
         # the C(n+k-2, k-1) = 6 weighted monomial rows
         assert calls == [((6, 6), False)] * 2
         assert np.allclose(model.dynamics, truth, atol=1e-8)
-        unfolding = s.X1 @ pinv(tc.khatri_rao_power(s.X0, 2))
+        unfolding = s.X1 @ np.linalg.pinv(tc.khatri_rao_power(s.X0, 2))
         got = tc.unfold(model.dynamics, {3})
         assert np.linalg.norm(got - unfolding) <= \
             1e-12 * np.linalg.norm(unfolding)
@@ -592,6 +592,59 @@ class TestIdentifiabilityIo:
         with pytest.raises(ArgumentError):
             check_identifiability_io(s, 3)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(0, 2),
+           extra=st.integers(-3, 4), seed=st.integers(0, 2 ** 16),
+           data=st.sampled_from(["generic", "duplicated", "zero_inputs"]),
+           tol=st.sampled_from([None, RankTolerance(),
+                                RankTolerance("absolute", 1e-9)]))
+    def test_report_matches_the_svd_of_the_stack(self, n, k, m, extra, seed,
+                                                 data, tol):
+        # T - 1 = M + m + extra regression samples, below M + m for extra < 0
+        required = required_rank(n, k) + m
+        t_count = max(2, required + extra + 1)
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((n, t_count))
+        if data == "duplicated":
+            states[:, t_count // 2:] = states[:, :1]
+        u0 = rng.standard_normal((m, t_count))
+        if data == "zero_inputs":
+            u0[:] = 0.0
+        c, _ = np.linalg.qr(rng.standard_normal((n + 1, n)))
+        samples = SampleSet(tau=0.1, U0=u0, Y0=c @ states,
+                            x1_kind="next_state")
+        report = check_identifiability_io(samples, k, n, tol)
+        assert report.required_rank == required
+        y = compact_svd(samples.Y0, tol)
+        if y.rank < n:
+            assert not report.satisfied
+            return
+        # reference: the compact SVD of [W^{1/2} R; U0] over the states in
+        # Y0's leading singular basis, built here one multiset at a time
+        x0 = y.S[:n, None] * y.V[:, :n].T[:, :t_count - 1]
+        rows = []
+        for mset in itertools.combinations_with_replacement(range(n), k - 1):
+            weight = math.factorial(k - 1)
+            for j in set(mset):
+                weight //= math.factorial(mset.count(j))
+            rows.append(math.sqrt(weight) * np.prod(x0[list(mset)], axis=0))
+        stack = np.vstack([np.array(rows), u0[:, :t_count - 1]])
+        ref_tol = RankTolerance(
+            value=max(n ** (k - 1) + m, t_count - 1) * np.finfo(float).eps) \
+            if tol is None else tol
+        ref = compact_svd(stack, ref_tol)
+        assert report.observed_rank == ref.rank
+        assert report.satisfied == (ref.rank == required)
+        assert report.ill_conditioned == bool(
+            ref.rank == required and ref.S[-1] < 1e3 * np.finfo(float).eps *
+            ref.S[0])
+        if ref.rank:
+            assert abs(report.margin - ref.S[-1]) <= 1e-10 * ref.S[-1]
+            assert abs(report.condition - ref.S[0] / ref.S[-1]) <= \
+                1e-9 * report.condition
+        else:
+            assert report.margin == 0.0 and report.condition == math.inf
+
 
 class TestIdentifyIo:
     def test_output_reproduction_on_held_out_steps(self):
@@ -654,7 +707,7 @@ class TestIdentifyIo:
         states = fitted.C.T @ samples.Y0
         x0s, x1s = states[:, :-1], states[:, 1:]
         xhat = tc.khatri_rao_power(x0s, 2)
-        direct = (x1s - x0s) @ pinv(samples.tau * xhat)
+        direct = (x1s - x0s) @ np.linalg.pinv(samples.tau * xhat)
         assert np.allclose(tc.unfold(fitted.dynamics, {3}), direct,
                            atol=1e-9)
 
@@ -732,3 +785,41 @@ class TestIdentifyIoNoisy:
         _, samples = dissipative_io_setup(12, sigma=1e-3, noise_seed=12)
         fitted = identify_io_noisy(samples, 4)
         assert tc.is_almost_symmetric(fitted.dynamics, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lstsq_of_both_regressions(self, seed):
+        _, samples = dissipative_io_setup(300 + seed, sigma=1e-3,
+                                          noise_seed=seed)
+        n, k = 3, 4
+        fitted = identify_io_noisy(samples, k)
+        # reference: numpy's least squares over the full Khatri-Rao power,
+        # in the state basis of Y0's leading singular triplets
+        y = compact_svd(samples.Y0)
+        states = y.S[:n, None] * y.V[:, :n].T
+        x0, x1 = states[:, :-1], states[:, 1:]
+        u0 = samples.U0[:, :x0.shape[1]]
+        design = np.vstack([samples.tau * tc.khatri_rao_power(x0, k - 1), u0])
+        dynamics = np.linalg.lstsq(design.T, (x1 - x0).T, rcond=None)[0].T
+        output = np.linalg.lstsq(x0.T, samples.Y0[:, :x0.shape[1]].T,
+                                 rcond=None)[0].T
+        for got, want in ((tc.unfold(fitted.dynamics, {k}),
+                           dynamics[:, :n ** (k - 1)]),
+                          (fitted.B, dynamics[:, n ** (k - 1):]),
+                          (fitted.C, output)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_output_map_below_rank_n_raises(self):
+        # at an absolute threshold of 10 the monomials x1^2, x1 x2, x2^2 keep
+        # rank 3 and Y0 rank 2, but the states X0 keep rank 1: the output
+        # regression is refused rather than truncated
+        states = np.array([[100.0, 100.0, -100.0, 100.0, -100.0, 100.0],
+                           [1.0, -3.0, 2.0, 4.0, -1.0, 20.0]])
+        c = np.array([[0.6, 0.0], [0.0, 1.0], [0.8, 0.0]])
+        samples = SampleSet(tau=0.1, U0=np.zeros((0, 6)), Y0=c @ states,
+                            x1_kind="next_state")
+        tol = RankTolerance("absolute", 10.0)
+        assert check_identifiability_io(samples, 3, 2, tol).satisfied
+        with pytest.raises(IdentifiabilityError) as err:
+            identify_io_noisy(samples, 3, 2, tol)
+        assert err.value.report.required_rank == 2
+        assert err.value.report.observed_rank == 1

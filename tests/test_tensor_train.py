@@ -93,16 +93,6 @@ class TestDecompose:
         assert np.linalg.norm(tt_reconstruct(train) - dense) <= \
             1e-12 * np.linalg.norm(dense)
 
-    def test_k_mode_unfolding_entry_point(self):
-        t = random_tensor((3, 3, 3), 2)
-        a_k = tc.unfold(t, {3})
-        train = tt_decompose(a_k, dims=(3, 3, 3))
-        assert np.allclose(tt_reconstruct(train), t, atol=1e-10)
-
-    def test_unfolding_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tt_decompose(np.zeros((3, 8)), dims=(3, 3, 3))
-
     def test_rank_chain_validated(self):
         with pytest.raises(ShapeError):
             TensorTrain((np.zeros((1, 2, 2)), np.zeros((3, 2, 1))))
