@@ -14,14 +14,13 @@ from .errors import (ArgumentError, AssumptionError, DivergenceError,
                      ScaleError, ShapeError)
 from .kernels import (CompactSvd, RankTolerance, compact_svd, numerical_rank,
                       subspace_equal)
-from .tensor_core import (almost_symmetrize, fold, hpds_eval_full,
-                          is_almost_symmetric, khatri_rao, khatri_rao_power,
-                          kron, mode_vec_product, psi_index, unfold)
+from .tensor_core import (almost_symmetrize, fold, is_almost_symmetric,
+                          khatri_rao, khatri_rao_power, unfold)
 from .tensor_train import (TensorTrain, tt_contract, tt_decompose,
-                           tt_eval_hpds, tt_param_count, tt_reconstruct)
+                           tt_param_count, tt_reconstruct)
 from .hier_tucker import (DimensionTree, HTucker, TreeNode, build_tree,
-                          htd_contract, htd_decompose, htd_eval_hpds,
-                          htd_param_count, htd_reconstruct)
+                          htd_contract, htd_decompose, htd_param_count,
+                          htd_reconstruct)
 from .model import (FORMATS, HpdsModel, SampleSet, add_noise,
                     eval_derivative, format_of, simulate_continuous,
                     simulate_discrete)

@@ -35,8 +35,8 @@ from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
-    "htd_reconstruct", "htd_eval_hpds", "htd_evaluator", "htd_contract",
-    "htd_sweep", "htd_param_count",
+    "htd_reconstruct", "htd_evaluator", "htd_contract", "htd_sweep",
+    "htd_param_count",
 ]
 
 
@@ -355,20 +355,6 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
     :func:`build_tree` is mode order, as :func:`contract_leading` has it.
     """
     return htd_sweep(h, args, _keep_every_row)
-
-
-def htd_eval_hpds(h: HTucker, x: np.ndarray) -> np.ndarray:
-    """Evaluate A_(k) x^[k-1] directly on the tree representation.
-
-    Leaf p < k's factor is replaced by x^T U_p and the substituted values
-    propagate up the tree through the transfer matrices; leaf k keeps its
-    full factor, so the root value is the n-vector indexed by mode k.
-    """
-    n, _ = _require_cubical(h.dims)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != n:
-        raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    return htd_evaluator(h)(x)
 
 
 def htd_evaluator(h: HTucker):

@@ -2,10 +2,10 @@
 
 Every rank decision in the package goes through :class:`RankTolerance` so the
 threshold is overridable in one place; :func:`_tol_at` states the default
-threshold of a matrix that stands in for a larger one.  The compact SVD
-fixes a deterministic sign convention (largest-magnitude entry of each left
-singular vector is positive), which makes identification and
-controllability outputs reproducible across runs.
+threshold at a shape: the matrix's own, or that of a larger matrix it stands
+in for.  The compact SVD fixes a deterministic sign convention
+(largest-magnitude entry of each left singular vector is positive), which
+makes identification and controllability outputs reproducible across runs.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class RankTolerance:
     """Threshold policy for discarding singular values.
 
     mode "relative" discards sigma <= value * sigma_max; mode "absolute"
-    discards sigma <= value.  value None means the default relative factor
-    max(rows, cols) * machine epsilon.
+    discards sigma <= value, which it requires.  A relative value None means
+    the default factor max(rows, cols) * machine epsilon.
     """
 
     mode: str = "relative"
@@ -36,19 +36,14 @@ class RankTolerance:
             raise ArgumentError(f"unknown tolerance mode {self.mode!r}")
         if self.value is not None and not self.value > 0:
             raise ArgumentError("tolerance value must be positive")
+        if self.mode == "absolute" and self.value is None:
+            raise ArgumentError("an absolute tolerance needs a value")
 
     def threshold(self, shape, sigma_max: float) -> float:
         if self.mode == "absolute":
             return float(self.value)
         factor = self.value if self.value is not None else max(shape) * _EPS
         return float(factor) * sigma_max
-
-
-DEFAULT_TOL = RankTolerance()
-
-
-def _resolve(tol: RankTolerance | None) -> RankTolerance:
-    return DEFAULT_TOL if tol is None else tol
 
 
 def _tol_at(tol: RankTolerance | None, shape) -> RankTolerance:
@@ -86,7 +81,7 @@ def compact_svd(matrix: np.ndarray, tol: RankTolerance | None = None) -> Compact
     if m == 0 or n == 0 or not np.any(matrix):
         return CompactSvd(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    thr = _resolve(tol).threshold(matrix.shape, s[0])
+    thr = _tol_at(tol, matrix.shape).threshold(matrix.shape, s[0])
     r = int(np.count_nonzero(s > thr))
     u, s, v = u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
     _sign_rule(u, v)

@@ -17,12 +17,6 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def uniform(shape, seed: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:
-    """Uniform array on [low, high) drawn from the Philox stream."""
-    g = generator(seed)
-    return g.random(shape) * (high - low) + low
-
-
 def gaussian(shape, seed: int, sigma: float = 1.0) -> np.ndarray:
     """Standard-deviation ``sigma`` normal array via Box-Muller over Philox.
 

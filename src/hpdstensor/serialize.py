@@ -288,41 +288,34 @@ def read_trajectory_csv(path: str) -> SampleSet:
                      U0=block("u"), Y0=block("y"), x1_kind="derivative")
 
 
-def read_vector_csv(path: str) -> np.ndarray:
-    """Flat numeric CSV (one row or one column) as a vector."""
-    values = []
+def _numeric_rows(path: str) -> list[list[float]]:
+    """The comma-separated numbers of each line of ``path``.  A blank line,
+    or one with any field that is not a number (a header), is skipped
+    whole."""
+    rows = []
     with open(path) as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
             try:
-                values.extend(float(p) for p in parts if p.strip())
+                row = [float(p) for p in line.split(",") if p.strip()]
             except ValueError:
-                continue  # header line
-    if not values:
+                continue
+            if row:
+                rows.append(row)
+    if not rows:
         raise ArgumentError(f"{path} holds no numbers")
-    return np.asarray(values, dtype=float)
+    return rows
+
+
+def read_vector_csv(path: str) -> np.ndarray:
+    """Flat numeric CSV (one row or one column) as a vector."""
+    return np.asarray([v for row in _numeric_rows(path) for v in row],
+                      dtype=float)
 
 
 def read_input_csv(path: str) -> np.ndarray:
     """Input samples as an m x T matrix; rows of the file are time steps."""
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p for p in line.split(",") if p.strip()]
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                continue  # header line
-    if not rows:
-        raise ArgumentError(f"{path} holds no numbers")
-    width = {len(r) for r in rows}
-    if len(width) != 1:
+    rows = _numeric_rows(path)
+    if len({len(r) for r in rows}) != 1:
         raise ShapeError("ragged input csv")
     return np.asarray(rows, dtype=float).T
 

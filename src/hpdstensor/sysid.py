@@ -433,7 +433,9 @@ def _io_fit(samples: SampleSet, k: int, n: int | None,
     if t < 2:
         raise ArgumentError("need at least two samples")
     x0 = states[:, :t - 1]
-    weighted, root, tables = _weighted_monomials(x0, k)
+    # rank(Y0) = 0 leaves no state, so no monomial: the design is U0 alone
+    weighted, root, tables = (_weighted_monomials(x0, k) if y_rank
+                              else (x0, None, None))
     design = np.vstack([weighted, samples.U0[:, :t - 1]])
     report, tri = _qr_fit(design, states[:, 1:] - x0 if fit else None,
                           (n ** (k - 1) + m, t - 1), tol,

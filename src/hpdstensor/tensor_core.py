@@ -1,4 +1,4 @@
-"""Dense tensor storage conventions, index arithmetic, and Kronecker algebra.
+"""Dense tensor storage conventions, unfoldings, and contraction kernels.
 
 Tensors are numpy arrays of order k >= 1.  The flat storage order used by
 every serialization and every reshape in this package is column-major
@@ -16,49 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-
-
-def psi_index(indices, dims) -> int:
-    """Map a 1-based multi-index to its 1-based flat position.
-
-    Parameters
-    ----------
-    indices : sequence of int
-        1-based index j_p per mode.
-    dims : sequence of int
-        Mode sizes n_p; must have the same length as ``indices``.
-    """
-    indices = tuple(int(j) for j in indices)
-    dims = tuple(int(n) for n in dims)
-    if len(indices) != len(dims) or not dims:
-        raise ArgumentError("indices and dims must be nonempty and equal length")
-    flat = 0
-    stride = 1
-    for j, n in zip(indices, dims):
-        if not 1 <= j <= n:
-            raise IndexError(f"index {j} out of range 1..{n}")
-        flat += (j - 1) * stride
-        stride *= n
-    return flat + 1
-
-
-def multi_indices(dims):
-    """Yield all 1-based multi-indices of ``dims`` in psi (flat) order."""
-    dims = tuple(int(n) for n in dims)
-    idx = [1] * len(dims)
-    total = int(np.prod(dims)) if dims else 0
-    for _ in range(total):
-        yield tuple(idx)
-        for p in range(len(dims)):
-            if idx[p] < dims[p]:
-                idx[p] += 1
-                break
-            idx[p] = 1
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with blocks a_ij * b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,18 +160,6 @@ def fold(matrix: np.ndarray, row_modes, dims) -> np.ndarray:
     return np.transpose(shaped, np.argsort(perm))
 
 
-def mode_vec_product(tensor: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Contract mode ``p`` (1-based) of ``tensor`` with the vector ``v``."""
-    tensor = np.asarray(tensor, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    if not 1 <= p <= tensor.ndim:
-        raise ArgumentError(f"mode {p} out of range 1..{tensor.ndim}")
-    if v.shape[0] != tensor.shape[p - 1]:
-        raise ShapeError(
-            f"vector length {v.shape[0]} != mode-{p} size {tensor.shape[p - 1]}")
-    return np.tensordot(tensor, v, axes=([p - 1], [0]))
-
-
 def _require_cubical(dims) -> tuple[int, int]:
     """(n, k) of a cubical shape; raises ShapeError for any other shape."""
     dims = tuple(dims)
@@ -231,20 +176,6 @@ def _as_columns(arg: np.ndarray, n: int) -> np.ndarray:
     if arg.ndim != 2 or arg.shape[0] != n:
         raise ShapeError(f"argument must have {n} rows, got shape {arg.shape}")
     return arg
-
-
-def hpds_eval_full(tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the polynomial map A_(k) x^[k-1] of a cubical order-k tensor.
-
-    Modes 1..k-1 are each contracted with ``x``; the remaining mode k indexes
-    the output.  For k = 2 this is the 2-mode matricization times x.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    n, _ = _require_cubical(tensor.shape)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != n:
-        raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    return hpds_evaluator(tensor)(x)
 
 
 def hpds_evaluator(tensor: np.ndarray):
@@ -320,7 +251,7 @@ def almost_symmetrize(tensor: np.ndarray) -> np.ndarray:
     The average is applied in factored form: the symmetrizer of modes
     1..m equals the product over j = 2..m of (1/j)(e + sum_{i<j} (i j)),
     which costs O(k^2) transposes instead of (k-1)!.  The result evaluates
-    to the same polynomial under :func:`hpds_eval_full` and is the
+    to the same polynomial under :func:`hpds_evaluator` and is the
     canonical almost-symmetric representative of that polynomial.
     """
     tensor = np.asarray(tensor, dtype=float)

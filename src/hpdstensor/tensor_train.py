@@ -23,8 +23,8 @@ from .tensor_core import (_keep_every_row, _require_cubical, _sweep_matrices,
                           unfold)
 
 __all__ = [
-    "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_eval_hpds",
-    "tt_evaluator", "tt_contract", "tt_sweep", "tt_param_count", "tt_zero",
+    "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_evaluator",
+    "tt_contract", "tt_sweep", "tt_param_count", "tt_zero",
 ]
 
 
@@ -108,20 +108,6 @@ def tt_reconstruct(train: TensorTrain) -> np.ndarray:
     for core in train.cores[1:]:
         acc = np.tensordot(acc, core, axes=(acc.ndim - 1, 0))
     return acc[..., 0]
-
-
-def tt_eval_hpds(train: TensorTrain, x: np.ndarray) -> np.ndarray:
-    """Evaluate A_(k) x^[k-1] directly on the cores.
-
-    Each of the first k-1 cores is contracted with x on its middle mode,
-    the resulting rank-space matrices are chained, and the last core closes
-    the chain as its (r_{k-1} x n) matrix slice.
-    """
-    n, _ = _require_cubical(train.dims)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != n:
-        raise ShapeError(f"state length {x.shape[0]} != dimension {n}")
-    return tt_evaluator(train)(x)
 
 
 def tt_evaluator(train: TensorTrain):

@@ -32,7 +32,7 @@ from hpdstensor.hier_tucker import (build_tree, htd_decompose,
                                     htd_reconstruct)
 from hpdstensor.kernels import compact_svd, numerical_rank, subspace_equal
 from hpdstensor.model import (HpdsModel, SampleSet, add_noise,
-                              simulate_discrete)
+                              eval_derivative, simulate_discrete)
 from hpdstensor.randomness import generator
 from hpdstensor.sysid import (check_identifiability_io, identify_full,
                               identify_ht, identify_io, identify_io_noisy,
@@ -48,7 +48,8 @@ def verdict(number: int, label: str, ok: bool) -> bool:
 def exact_samples(tensor, t_count, seed):
     n = tensor.shape[0]
     x0 = generator(seed).random((n, t_count)) * 2.0 - 1.0
-    x1 = np.column_stack([tc.hpds_eval_full(tensor, x0[:, i])
+    model = HpdsModel(tensor.ndim, n, tensor)
+    x1 = np.column_stack([eval_derivative(model, x0[:, i])
                           for i in range(t_count)])
     return SampleSet(tau=0.01, X0=x0, X1=x1)
 
@@ -278,7 +279,7 @@ def test_criterion_08_observability():
     h = 1e-5
 
     def f(z):
-        return tc.hpds_eval_full(t2, z)
+        return eval_derivative(HpdsModel(k, n, t2), z)
 
     def grad(fun, z):
         out = []

@@ -23,7 +23,7 @@ from hpdstensor.kernels import (RankTolerance, compact_svd, numerical_rank,
 from hpdstensor.model import FORMATS
 from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
 
-from test_tensor_train import dense_contraction_oracle
+from test_tensor_train import dense_contraction_oracle, evaluate
 
 
 def linear_tensor(a_matrix):
@@ -326,8 +326,7 @@ class TestGradientSum:
         for c in range(n):
             e = np.zeros(n)
             e[c] = h
-            jac[:, c] = (tc.hpds_eval_full(t, x + e) -
-                         tc.hpds_eval_full(t, x - e)) / (2 * h)
+            jac[:, c] = (evaluate(t, x + e) - evaluate(t, x - e)) / (2 * h)
         assert np.max(np.abs(a_k @ gradient_sum(x, k - 1) - jac)) <= 1e-6
 
     def test_bad_power(self):
@@ -359,7 +358,7 @@ class TestLiftOperator:
         analytic = c @ a_k @ f2 @ gradient_sum(x, 2 * k - 3)
 
         def fvec(z):
-            return tc.hpds_eval_full(t, z)
+            return evaluate(t, z)
 
         def lie1(z):  # d/dt of C x along the flow
             return (c @ fvec(z)).ravel()
@@ -494,10 +493,10 @@ class TestLieGradientBlocks:
             return out
 
         def lie1(z):
-            return float(c[0] @ tc.hpds_eval_full(tensor, z))
+            return float(c[0] @ evaluate(tensor, z))
 
         def lie2(z):
-            return float(grad(lie1, z) @ tc.hpds_eval_full(tensor, z))
+            return float(grad(lie1, z) @ evaluate(tensor, z))
 
         numeric = grad(lie2, x)
         for dyn in representations(tensor).values():

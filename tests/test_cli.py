@@ -110,6 +110,29 @@ def test_identify_io_from_discrete_csv(workspace, tmp_path):
     assert np.max(np.abs(replay.Y0 - reference.Y0)) <= 1e-7
 
 
+def test_identify_io_on_zero_outputs_exits_2_with_report(workspace, tmp_path):
+    model, paths = workspace
+    silent = tmp_path / "silent.json"
+    serialize.write_model(str(silent),
+                          HpdsModel(3, 3, model.dynamics, B=model.B,
+                                    C=np.zeros((4, 3))))
+    u_csv = tmp_path / "u.csv"
+    u = 0.1 * np.random.default_rng(2).standard_normal((30, 2))
+    u_csv.write_text("".join(",".join(map(serialize.format_float, row)) + "\n"
+                             for row in u))
+    traj = tmp_path / "silent.csv"
+    assert run(["simulate", "--model", str(silent), "--x0", str(paths["x0"]),
+                "--input", str(u_csv), "--tau", "0.05", "--steps", "30",
+                "--method", "discrete", "--out", str(traj)]) == 0
+    out = tmp_path / "silent_fit.json"
+    assert run(["identify", "--data", str(traj), "--order", "3", "--io",
+                "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["error"] == "identifiability"
+    assert report["satisfied"] is False
+    assert report["observed_rank"] < report["required_rank"]
+
+
 def test_analyze_controllability_report(workspace):
     model, paths = workspace
     out = paths["dir"] / "con.json"

@@ -10,13 +10,12 @@ from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
                                     build_tree, htd_contract, htd_decompose,
-                                    htd_eval_hpds, htd_param_count,
-                                    htd_reconstruct)
+                                    htd_param_count, htd_reconstruct)
 from hpdstensor.kernels import (RankTolerance, numerical_rank,
                                 orthonormal_deviation)
-from hpdstensor.tensor_train import tt_decompose, tt_eval_hpds, tt_contract
+from hpdstensor.tensor_train import tt_decompose, tt_contract
 
-from test_tensor_train import dense_contraction_oracle, random_tensor
+from test_tensor_train import dense_contraction_oracle, evaluate, random_tensor
 
 
 class TestBuildTree:
@@ -256,18 +255,18 @@ class TestEvalAndContract:
         rng = np.random.default_rng(37)
         for _ in range(20):
             x = rng.standard_normal(3)
-            assert np.allclose(htd_eval_hpds(h, x), tc.hpds_eval_full(t, x),
+            assert np.allclose(evaluate(h, x), evaluate(t, x),
                                atol=1e-9)
 
     def test_zero_state(self):
         h = htd_decompose(random_tensor((2, 2, 2), 38))
-        assert not np.any(htd_eval_hpds(h, np.zeros(2)))
+        assert not np.any(evaluate(h, np.zeros(2)))
 
     def test_matches_tt_eval(self):
         t = random_tensor((3, 3, 3, 3), 39)
         h, train = htd_decompose(t), tt_decompose(t)
         x = np.random.default_rng(40).standard_normal(3)
-        assert np.allclose(htd_eval_hpds(h, x), tt_eval_hpds(train, x),
+        assert np.allclose(evaluate(h, x), evaluate(train, x),
                            atol=1e-9)
 
     def test_identity_argument_matches_dense_kronecker(self):

@@ -100,6 +100,11 @@ class TestCompactSvd:
         with pytest.raises(ArgumentError):
             RankTolerance("relative", -1.0)
 
+    def test_absolute_tolerance_needs_a_value(self):
+        # refused when built, not at the first rank decision
+        with pytest.raises(ArgumentError):
+            RankTolerance("absolute")
+
 
 class TestRightBasis:
     @pytest.mark.parametrize("shape,rank", [((40, 6), 6), ((40, 6), 3),

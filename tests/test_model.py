@@ -132,7 +132,7 @@ class TestSimulateDiscrete:
         x0 = rng.standard_normal(2) * 0.3
         u = rng.standard_normal((1, 1))
         s = simulate_discrete(model, x0, u=u, tau=0.1, steps=1)
-        expected = x0 + 0.1 * tc.hpds_eval_full(t, x0) + b @ u[:, 0]
+        expected = x0 + 0.1 * eval_derivative(model, x0) + b @ u[:, 0]
         assert np.allclose(s.X1[:, 0], expected)
         assert np.allclose(s.X0[:, 0], x0)
 

@@ -181,6 +181,14 @@ class TestTrajectoryCsv:
         assert np.array_equal(serialize.read_input_csv(str(u)),
                               [[1.0, 3.0], [2.0, 4.0]])
 
+    def test_a_line_that_fails_to_parse_is_skipped_whole(self, tmp_path):
+        path = tmp_path / "bad_line.csv"
+        path.write_text("x1,x2,x3\n0.5,abc,2\n1,2,3\n")
+        assert np.array_equal(serialize.read_vector_csv(str(path)),
+                              [1.0, 2.0, 3.0])
+        assert np.array_equal(serialize.read_input_csv(str(path)),
+                              [[1.0], [2.0], [3.0]])
+
 
 class TestAtomicWrite:
     def test_no_partial_on_failure(self, tmp_path):

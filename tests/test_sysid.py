@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ def exact_autonomous_samples(tensor, t_count, seed, scale=1.0):
     n = tensor.shape[0]
     rng = np.random.default_rng(seed)
     x0 = scale * rng.standard_normal((n, t_count))
-    x1 = np.column_stack([tc.hpds_eval_full(tensor, x0[:, i])
+    model = HpdsModel(tensor.ndim, n, tensor)
+    x1 = np.column_stack([eval_derivative(model, x0[:, i])
                           for i in range(t_count)])
     return SampleSet(tau=0.01, X0=x0, X1=x1)
 
@@ -586,6 +588,18 @@ class TestIdentifiabilityIo:
                         Y0=samples.Y0, x1_kind=samples.x1_kind)
         with pytest.raises(NumericError):
             check_identifiability_io(bad, 3)
+
+    def test_zero_outputs_report_unsatisfied(self):
+        # rank(Y0) = 0 reconstructs no state, so the design is U0 alone
+        _, samples, _, _ = io_setup(4)
+        silent = replace(samples, Y0=np.zeros_like(samples.Y0))
+        report = check_identifiability_io(silent, 3)
+        assert not report.satisfied
+        assert report.observed_rank == 2
+        assert report.required_rank == required_rank(3, 3) + 2
+        for identify in (identify_io, identify_io_noisy):
+            with pytest.raises(IdentifiabilityError):
+                identify(silent, 3)
 
     def test_missing_channels_rejected(self):
         s = SampleSet(tau=0.1, X0=np.zeros((2, 3)))

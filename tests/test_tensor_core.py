@@ -7,57 +7,13 @@ import pytest
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import ArgumentError, ShapeError
 
-from test_tensor_train import dense_contraction_oracle
+from test_tensor_train import dense_contraction_oracle, evaluate
 
 
-class TestPsiIndex:
-    def test_all_ones_maps_to_first_slot(self):
-        assert tc.psi_index((1, 1, 1), (3, 3, 3)) == 1
-
-    def test_column_major_enumeration(self):
-        # enumerate a 4x5 grid column by column and check (2,3) lands at 10
-        assert tc.psi_index((2, 3), (4, 5)) == 10
-
-    def test_last_index_maps_to_last_slot(self):
-        dims = (2, 3, 4)
-        assert tc.psi_index(dims, dims) == 24
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            tc.psi_index((0, 1), (2, 2))
-        with pytest.raises(IndexError):
-            tc.psi_index((1, 3), (2, 2))
-
-    @pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 3, 4), (2, 2, 2, 2)])
-    def test_bijection(self, dims):
-        seen = [tc.psi_index(idx, dims) for idx in tc.multi_indices(dims)]
-        assert sorted(seen) == list(range(1, int(np.prod(dims)) + 1))
-        # flat order of multi_indices is exactly psi order
-        assert seen == list(range(1, int(np.prod(dims)) + 1))
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(tc.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_expansion_by_hand(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        expected = np.array([
-            [0, 1, 0, 2],
-            [1, 0, 2, 0],
-            [0, 3, 0, 4],
-            [3, 0, 4, 0],
-        ], dtype=float)
-        assert np.array_equal(tc.kron(a, b), expected)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-            lhs = tc.kron(a, b) @ tc.kron(c, d)
-            rhs = tc.kron(a @ c, b @ d)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+def psi(idx, dims):
+    """The 1-based flat position of a 1-based multi-index, first index
+    fastest."""
+    return 1 + int(np.ravel_multi_index([i - 1 for i in idx], dims, order="F"))
 
 
 class TestKhatriRao:
@@ -116,8 +72,8 @@ class TestUnfoldFold:
         t = np.arange(8.0).reshape(2, 2, 2)
         vec = tc.unfold(t, {1, 2, 3})
         assert vec.shape == (8, 1)
-        for idx in tc.multi_indices(t.shape):
-            flat = tc.psi_index(idx, t.shape)
+        for idx in itertools.product((1, 2), repeat=3):
+            flat = psi(idx, t.shape)
             assert vec[flat - 1, 0] == t[tuple(i - 1 for i in idx)]
 
     def test_mode2_unfolding_entrywise(self):
@@ -125,9 +81,9 @@ class TestUnfoldFold:
         t = tc.fold(np.arange(1.0, 9.0).reshape(8, 1), {1, 2, 3}, (2, 2, 2))
         m = tc.unfold(t, {2})
         assert m.shape == (2, 4)
-        for idx in tc.multi_indices(t.shape):
+        for idx in itertools.product((1, 2), repeat=3):
             r = idx[1]
-            c = tc.psi_index((idx[0], idx[2]), (2, 2))
+            c = psi((idx[0], idx[2]), (2, 2))
             assert m[r - 1, c - 1] == t[idx[0] - 1, idx[1] - 1, idx[2] - 1]
 
     def test_round_trip_exact_all_mode_sets(self):
@@ -157,44 +113,19 @@ class TestUnfoldFold:
             tc.unfold(t, [1, 1])
 
 
-class TestModeVecProduct:
-    def test_slice_extraction_with_basis_vector(self):
-        t = np.zeros((3, 3, 3))
-        for i in range(3):
-            t[i, i, i] = i + 1.0
-        out = tc.mode_vec_product(t, np.array([1.0, 0, 0]), 1)
-        expected = np.zeros((3, 3))
-        expected[0, 0] = 1.0
-        assert np.array_equal(out, expected)
-
-    def test_full_contraction_matches_unfolded_form(self):
-        rng = np.random.default_rng(4)
-        t = tc.almost_symmetrize(rng.standard_normal((3, 3, 3)))
-        v = rng.standard_normal(3)
-        step = tc.mode_vec_product(tc.mode_vec_product(t, v, 1), v, 1)
-        scalar = float(step @ v)
-        a_k = tc.unfold(t, {3})
-        assert np.isclose(scalar, float(v @ (a_k @ np.kron(v, v))))
-
-    def test_zero_vector_gives_zero(self):
-        t = np.ones((2, 2, 2))
-        assert not np.any(tc.mode_vec_product(t, np.zeros(2), 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            tc.mode_vec_product(np.ones((2, 3)), np.ones(2), 2)
-
-
 class TestHpdsEvalFull:
+    """The polynomial map of a dense tensor: :func:`eval_derivative` on a
+    full model, and the evaluator it calls."""
+
     def test_k2_is_matricized_matvec(self):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((4, 4))
         x = rng.standard_normal(4)
-        assert np.allclose(tc.hpds_eval_full(t, x), tc.unfold(t, {2}) @ x)
+        assert np.allclose(evaluate(t, x), tc.unfold(t, {2}) @ x)
 
     def test_zero_state(self):
         t = np.ones((2, 2, 2))
-        assert not np.any(tc.hpds_eval_full(t, np.zeros(2)))
+        assert not np.any(evaluate(t, np.zeros(2)))
 
     def test_triple_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -205,11 +136,11 @@ class TestHpdsEvalFull:
             for j2 in range(2):
                 for j3 in range(2):
                     expected[j3] += t[j1, j2, j3] * x[j1] * x[j2]
-        assert np.allclose(tc.hpds_eval_full(t, x), expected)
+        assert np.allclose(evaluate(t, x), expected)
 
     def test_non_cubical_rejected(self):
         with pytest.raises(ShapeError):
-            tc.hpds_eval_full(np.ones((2, 3)), np.ones(2))
+            tc.hpds_evaluator(np.ones((2, 3)))
 
 
 class TestAlmostSymmetry:
@@ -228,7 +159,7 @@ class TestAlmostSymmetry:
         s = tc.almost_symmetrize(t)
         for _ in range(10):
             x = rng.standard_normal(2)
-            assert np.allclose(tc.hpds_eval_full(t, x), tc.hpds_eval_full(s, x),
+            assert np.allclose(evaluate(t, x), evaluate(s, x),
                                atol=1e-12)
 
     def test_fourth_order_permutation_list(self):
@@ -276,7 +207,7 @@ class TestAlmostSymmetry:
         for i in range(k - 2):
             assert np.max(np.abs(s - np.swapaxes(s, i, i + 1))) <= 1e-13
         x = rng.standard_normal(2)
-        assert np.allclose(tc.hpds_eval_full(s, x), tc.hpds_eval_full(t, x),
+        assert np.allclose(evaluate(s, x), evaluate(t, x),
                            rtol=1e-12, atol=1e-12)
         assert tc.almost_symmetrize(np.zeros((1,) * 12)).shape == (1,) * 12
 
@@ -301,7 +232,7 @@ class TestContractLeading:
         v = np.array([0.5, -1.0])
         assert tc.contract_leading(t, [v, v, v]).shape == (2, 1)
         assert np.allclose(tc.contract_leading(t, [v, v, v])[:, 0],
-                           tc.hpds_eval_full(t, v))
+                           evaluate(t, v))
 
     def test_two_matrices_match_dense_oracle(self):
         t = np.random.default_rng(14).standard_normal((3, 3, 3, 3))

@@ -1,17 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
+from hpdstensor.hier_tucker import htd_decompose
 from hpdstensor.kernels import numerical_rank
+from hpdstensor.model import FORMATS, HpdsModel, eval_derivative, format_of
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
-                                     tt_eval_hpds, tt_param_count,
-                                     tt_reconstruct, tt_zero)
+                                     tt_param_count, tt_reconstruct, tt_zero)
 
 
 def random_tensor(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def evaluate(dynamics, x):
+    """A_(k) x^[k-1] of a dense tensor, train or tree, through the checked
+    entry."""
+    dims = FORMATS[format_of(dynamics)].dims(dynamics)
+    return eval_derivative(HpdsModel(len(dims), dims[0], dynamics), x)
 
 
 def dense_contraction_oracle(tensor, args):
@@ -114,7 +124,7 @@ class TestReconstruct:
         t = random_tensor((2, 2, 2), 3)
         train = tt_decompose(t)
         recon = tt_reconstruct(train)
-        for idx in tc.multi_indices((2, 2, 2)):
+        for idx in itertools.product((1, 2), repeat=3):
             acc = train.cores[0][:, idx[0] - 1, :]
             for p in (1, 2):
                 acc = acc @ train.cores[p][:, idx[p] - 1, :]
@@ -128,24 +138,24 @@ class TestEval:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.standard_normal(3)
-            assert np.allclose(tt_eval_hpds(train, x),
-                               tc.hpds_eval_full(t, x), atol=1e-9)
+            assert np.allclose(evaluate(train, x), evaluate(t, x), atol=1e-9)
 
     def test_zero_state(self):
         train = tt_decompose(random_tensor((2, 2, 2), 6))
-        assert not np.any(tt_eval_hpds(train, np.zeros(2)))
+        assert not np.any(evaluate(train, np.zeros(2)))
 
     def test_k2_linear_case(self):
         m = random_tensor((4, 4), 7)
         train = tt_decompose(m)
         x = np.random.default_rng(8).standard_normal(4)
-        assert np.allclose(tt_eval_hpds(train, x), tc.unfold(m, {2}) @ x,
+        assert np.allclose(evaluate(train, x), tc.unfold(m, {2}) @ x,
                            atol=1e-10)
 
     def test_state_length_checked(self):
-        train = tt_decompose(random_tensor((2, 2, 2), 9))
-        with pytest.raises(ShapeError):
-            tt_eval_hpds(train, np.ones(3))
+        t = random_tensor((2, 2, 2), 9)
+        for dynamics in (t, tt_decompose(t), htd_decompose(t)):
+            with pytest.raises(ShapeError):
+                evaluate(dynamics, np.ones(3))
 
 
 class TestContract:
@@ -155,7 +165,7 @@ class TestContract:
         x = np.random.default_rng(11).standard_normal(3)
         out = tt_contract(train, [x, x])
         assert out.shape == (3, 1)
-        assert np.allclose(out.ravel(), tt_eval_hpds(train, x), atol=1e-11)
+        assert np.allclose(out.ravel(), evaluate(train, x), atol=1e-11)
 
     def test_identity_argument_matches_dense_kronecker(self):
         t = random_tensor((3, 3, 3, 3), 12)
