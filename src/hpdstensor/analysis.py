@@ -299,7 +299,7 @@ def observability_ht(ht: HTucker, c: np.ndarray, x: np.ndarray,
     return observability(ht, c, x, depth, tol)
 
 
-def observability_at_probes(observe, probes, **kwargs) -> ObservabilityResult:
+def observability_at_probes(observe, probes) -> ObservabilityResult:
     """Evaluate an observability routine at several probe states.
 
     A full-rank outcome at any probe settles the generic (open dense set)
@@ -309,7 +309,7 @@ def observability_at_probes(observe, probes, **kwargs) -> ObservabilityResult:
     best: ObservabilityResult | None = None
     states = []
     for x in probes:
-        res = observe(x=x, **kwargs)
+        res = observe(x=x)
         states.append(np.asarray(x, dtype=float).ravel())
         if best is None or res.matrix_rank > best.matrix_rank:
             best = res

@@ -18,12 +18,11 @@ import numpy as np
 
 from .analysis import controllability
 from .errors import ArgumentError, NumericError, ScaleError
-from .hier_tucker import (DimensionTree, HTucker, build_tree, htd_decompose,
-                          htd_reconstruct)
+from .hier_tucker import HTucker, build_tree, htd_decompose, htd_reconstruct
 from .kernels import RankTolerance
 from .model import FORMATS
 from .randomness import generator
-from .tensor_core import multisets
+from .tensor_core import _multiset_ranks, multiset_tables
 from .tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
@@ -68,12 +67,10 @@ def _symmetric_dense(n: int, k: int, seed: int) -> np.ndarray:
     """Fully symmetric tensor: one uniform value per index multiset.
 
     Values are drawn in ``combinations_with_replacement(range(n), k)``
-    order, the order in which :func:`multisets` ranks them.
+    order, the order in which :func:`multiset_tables` ranks them.
     """
-    dims = (n,) * k
     values = generator(seed).random(math.comb(n + k - 1, k)) * 2.0 - 1.0
-    _, ranks, _ = multisets(n, k)
-    return values[ranks].reshape(dims)
+    return values[_multiset_ranks(multiset_tables(n, k)[1])].reshape((n,) * k)
 
 
 def _random_tt(n: int, k: int, rank_cap: int, seed: int) -> TensorTrain:
@@ -84,11 +81,9 @@ def _random_tt(n: int, k: int, rank_cap: int, seed: int) -> TensorTrain:
     return TensorTrain(tuple(cores))
 
 
-def _random_ht(n: int, k: int, rank_cap: int, seed: int,
-               tree: DimensionTree | None = None) -> HTucker:
+def _random_ht(n: int, k: int, rank_cap: int, seed: int) -> HTucker:
     g = generator(seed)
-    if tree is None:
-        tree = build_tree(k)
+    tree = build_tree(k)
 
     def node_rank(node):
         if node is tree.root:
@@ -108,7 +103,7 @@ def _random_ht(n: int, k: int, rank_cap: int, seed: int,
 
 
 def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
-                 seed: int = 0, tol: RankTolerance | None = None) -> Instance:
+                 seed: int = 0) -> Instance:
     """Generate one instance and decompose it into the other representations.
 
     The dense tensor is the interchange form, so the guard refuses sizes
@@ -128,7 +123,7 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
     else:
         dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))
     return Instance(scheme, n, k, seed, dense,
-                    tt_decompose(dense, tol=tol), htd_decompose(dense, tol=tol))
+                    tt_decompose(dense), htd_decompose(dense))
 
 
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,

@@ -20,9 +20,8 @@ from functools import cache, partial
 
 
 from . import analysis, benchmarks, serialize
-from .errors import (ArgumentError, AssumptionError, DivergenceError,
-                     HpdsError, IdentifiabilityError, NumericError,
-                     ScaleError, ShapeError)
+from .errors import (ArgumentError, DivergenceError, HpdsError,
+                     IdentifiabilityError, NumericError, ScaleError)
 from .kernels import RankTolerance
 from .model import FORMATS, add_noise, simulate_continuous, simulate_discrete
 from .randomness import generator
@@ -279,8 +278,7 @@ def run(argv) -> int:
     except ScaleError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
         return 4
-    except (ArgumentError, ShapeError, AssumptionError,
-            HpdsError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (HpdsError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -258,15 +258,16 @@ def _post_order(h: HTucker) -> list:
     return program
 
 
-def _run(program: list, leaf_values: dict) -> np.ndarray:
-    """The root value of a :func:`_post_order` program."""
+def _run(program: list, leaf_values: dict, meet=_kron_apply) -> np.ndarray:
+    """The root value of a :func:`_post_order` program, each internal node
+    the ``meet`` of its children's values and its split transfer."""
     stack = []
     for step in program:
         if isinstance(step, int):
             stack.append(leaf_values[step])
         else:
             right = stack.pop()
-            stack.append(_kron_apply(stack.pop(), right, step))
+            stack.append(meet(stack.pop(), right, step))
     return stack[0]
 
 
@@ -321,29 +322,26 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
     node's rank.  Leaf p < k starts from mats[p-1]^T U_p, leaf k from U_k
     with a = 1.  At an internal node the children's messages meet through
     the transfer matrix as an (a_left, a_right, t * r) array, which
-    ``merge`` maps to the (a', t * r) array passed up.  Returns the n x a'
-    matrix with rows indexed by mode k.
+    ``merge`` maps to the (a', t * r) array passed up.  The tree is walked
+    by the :func:`_post_order` program that evaluation and reconstruction
+    run.  Returns the n x a' matrix with rows indexed by mode k.
     """
     n, k = _require_cubical(h.dims)
     mats = _sweep_matrices(mats, n, k)
+    leaf_values = {p: (mats[p - 1].T @ np.asarray(u, dtype=float))[:, None]
+                   for p, u in h.leaf_factors.items() if p != k}
+    leaf_values[k] = np.asarray(h.leaf_factors[k], dtype=float)[None]
 
-    def message(node: TreeNode) -> np.ndarray:
-        if node.is_leaf:
-            p = node.modes[0]
-            u = np.asarray(h.leaf_factors[p], dtype=float)
-            return u[None] if p == k else (mats[p - 1].T @ u)[:, None, :]
-        left, right = message(node.left), message(node.right)
-        g = np.asarray(h.transfer[node.modes], dtype=float)
-        # explicit sizes: a -1 is ambiguous once a rank is 0
-        q, t = g.shape[1], left.shape[1] * right.shape[1]
-        g3 = g.reshape(left.shape[2], right.shape[2], q, order="F")
+    def meet(left: np.ndarray, right: np.ndarray,
+             g3: np.ndarray) -> np.ndarray:
+        t, q = left.shape[1] * right.shape[1], g3.shape[2]
         half = np.tensordot(left, g3, axes=(2, 0))           # (a, x, r, q)
         met = np.tensordot(right, half, axes=(2, 2))         # (b, y, a, x, q)
         met = met.transpose(2, 0, 3, 1, 4)                   # (a, b, x, y, q)
         merged = merge(met.reshape(left.shape[0], right.shape[0], t * q))
         return merged.reshape(merged.shape[0], t, q)
 
-    return message(h.tree.root)[:, :, 0].T
+    return _run(_post_order(h), leaf_values, meet)[:, :, 0].T
 
 
 def htd_contract(h: HTucker, args) -> np.ndarray:

@@ -19,7 +19,8 @@ every unfolding of an almost symmetric tensor repeats a row once per
 ordering of its symmetric modes, so each decomposition works on the
 distinct rows and columns, weighted by the square roots of their
 multiplicities, which have the dense unfolding's singular values and
-singular vectors.
+singular vectors.  The train is the TT-SVD loop of :func:`tt_decompose`
+given the multiset tables; the tree has its own per-kind bases.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ import numpy as np
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
 from .hier_tucker import DimensionTree, HTucker, build_tree
-from .kernels import (RankTolerance, _sign_rule, _tol_at, compact_svd,
-                      right_basis)
+from .kernels import RankTolerance, _sign_rule, _tol_at, compact_svd
 from .model import HpdsModel, SampleSet
 from .tensor_core import _multiset_ranks, fold, multiset_tables
-from .tensor_train import TensorTrain, tt_zero
+from .tensor_train import _tt_svd
 
 __all__ = [
     "IdentifiabilityReport", "required_rank", "check_identifiability_autonomous",
@@ -219,53 +219,22 @@ def identify_full(samples: SampleSet, k: int,
                                 [n] * k))
 
 
-def _symmetric_train(coeffs: np.ndarray, tables,
-                     tol: RankTolerance) -> TensorTrain:
-    """:func:`tt_decompose` of the almost symmetric tensor with k-mode
-    unfolding coeffs[:, columns], on distinct rows.
-
-    Step p of the TT-SVD factors the n^(p-1) x n r_p matrix whose rows are
-    the multi-indices of modes 1..p-1, so rows that are permutations of
-    each other are equal.  Its distinct rows, one per (p-1)-multiset and
-    weighted by the square root of its count, have the same V and singular
-    values, and the distinct rows of U S are the unweighted rows times V.
-    The next step's row for the (p-2)-multiset s and column (j, alpha) is
-    row grows[p-2][s, j] of those.  Ranks and cores are those of the dense
-    TT-SVD at ``tol``; no array is larger than M_(p-1) x n r_p.
-    """
-    _, grows, counts = tables
-    n, k = coeffs.shape[0], len(grows) + 1
-    dims = (n,) * k
-    if not np.any(coeffs):
-        return tt_zero(dims)
-    cores: list[np.ndarray] = [None] * k
-    rows, r_right = coeffs.T, 1
-    for p in range(k, 1, -1):
-        # rows: the (p-1)-multisets; columns merge (i_p, alpha_p), i_p fastest
-        v, rows = right_basis(rows, tol, np.sqrt(counts[p - 1]))
-        r_left = v.shape[1]
-        if r_left == 0:
-            return tt_zero(dims)
-        cores[p - 1] = v.T.reshape(r_left, n, r_right, order="F")
-        rows = rows[grows[p - 2]].reshape(-1, n * r_left, order="F")
-        r_right = r_left
-    cores[0] = rows.reshape(1, n, r_right, order="F")
-    return TensorTrain(tuple(cores))
-
-
 def identify_tt(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dynamics in tensor-train form.
 
     The TT-SVD of the :func:`identify_full` tensor at the recovery's
     conversion tolerance, peeling mode k first so the factor ordering
-    matches the train-based evaluation formula, taken on the monomial
-    coefficients: the n^k tensor is never formed, and every step's matrix
-    has one row per multiset of the modes not yet peeled.
+    matches the train-based evaluation formula: the loop of
+    :func:`tt_decompose`, run on the monomial coefficients.  The n^k tensor
+    is never formed; every step's matrix has one row per multiset of the
+    modes not yet peeled, weighted by the square root of its count.
     """
-    coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
-    return HpdsModel(k, samples.X0.shape[0],
-                     _symmetric_train(coeffs, tables, conversion))
+    coeffs, conversion, (_, grows, counts) = _recover_coefficients(
+        samples, k, tol)
+    n = samples.X0.shape[0]
+    return HpdsModel(k, n, _tt_svd(coeffs.T, (n,) * k, conversion,
+                                   (grows, counts)))
 
 
 def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,

@@ -91,21 +91,6 @@ def _multiset_ranks(grows) -> np.ndarray:
     return ranks
 
 
-def multisets(n: int, m: int):
-    """Rank the n^m multi-indices over range(n) by their multiset.
-
-    Returns ``(members, ranks, counts)``: the size-m ``members`` and
-    ``counts`` of :func:`multiset_tables`, and ``ranks[j]``, the multiset of
-    the j-th multi-index, the base-n digits of j.  A multiset does not
-    depend on the order of its digits, so this holds for psi and row-major
-    positions alike.  The ranks are built one digit at a time through the
-    grow tables, without sorting.
-    """
-    members, grows, counts = multiset_tables(n, m)
-    return (members[m].astype(np.min_scalar_type(n)), _multiset_ranks(grows),
-            counts[m])
-
-
 def kron_power(v: np.ndarray, m: int) -> np.ndarray:
     """m-fold Kronecker power of a vector; m = 0 gives the scalar [1]."""
     if m < 0:

@@ -13,14 +13,14 @@ evaluation formula: the output mode k is separated first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .kernels import RankTolerance, right_basis
-from .tensor_core import (_keep_every_row, _require_cubical, _sweep_matrices,
-                          unfold)
+from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
     "TensorTrain", "tt_decompose", "tt_reconstruct", "tt_evaluator",
@@ -66,10 +66,46 @@ def tt_zero(dims) -> TensorTrain:
     return TensorTrain(tuple(np.zeros((1, int(n), 1)) for n in dims))
 
 
+def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
+            tables=None) -> TensorTrain:
+    """The right-to-left TT-SVD of a tensor with dims ``dims`` whose
+    sequential unfolding A_({1..k-1}) is ``rows``.
+
+    Step p factors a matrix whose rows merge modes 1..p-1 and whose columns
+    merge (i_p, alpha_p), i_p fastest: V^T is core p, and A V gives the next
+    step's rows.  A zero matrix keeps no rank, which gives the zero train.
+
+    With ``tables = (grows, counts)`` of :func:`tensor_core.multiset_tables`,
+    the tensor is almost symmetric and ``rows`` holds one row per multiset
+    of modes 1..k-1.  Each step's distinct rows, weighted by the square
+    root of their counts, have the dense matrix's V and singular values
+    (:func:`kernels.right_basis`), and the next step's row for the
+    (p-2)-multiset s and column (j, alpha) is row grows[p-2][s, j] of A V.
+    Ranks and cores are those of the dense TT-SVD at ``tol``.
+    """
+    k = len(dims)
+    cores: list[np.ndarray] = [None] * k
+    r_right = 1
+    for p in range(k, 1, -1):
+        root = None if tables is None else np.sqrt(tables[1][p - 1])
+        v, rows = right_basis(rows, tol, root)
+        r_left = v.shape[1]
+        if r_left == 0:
+            return tt_zero(dims)
+        cores[p - 1] = v.T.reshape(r_left, dims[p - 1], r_right, order="F")
+        if tables is not None:
+            rows = rows[tables[0][p - 2]]
+        rows = rows.reshape(-1, dims[p - 2] * r_left, order="F")
+        r_right = r_left
+    cores[0] = rows.reshape(1, dims[0], r_right, order="F")
+    return TensorTrain(tuple(cores))
+
+
 def tt_decompose(source: np.ndarray,
                  tol: RankTolerance | None = None) -> TensorTrain:
     """Build a tensor train of the order-k array ``source`` by sequential
-    compact SVDs, mode k first.
+    compact SVDs, mode k first: one :func:`_tt_svd` of its psi-ordered
+    unfolding A_({1..k-1}).
 
     Interior ranks equal the numerical ranks of the sequential unfoldings
     A_({1..p}), and reconstruction matches the input up to the tolerance.
@@ -79,27 +115,9 @@ def tt_decompose(source: np.ndarray,
     source = np.asarray(source, dtype=float)
     if source.ndim < 1:
         raise ShapeError("source must have order >= 1")
-    dims, k = source.shape, source.ndim
-    c = unfold(source, range(1, k)) if k > 1 else source.reshape(-1, 1)
-    if k == 1:
-        return TensorTrain((c.reshape(1, dims[0], 1, order="F"),))
-    if not np.any(c):
-        return tt_zero(dims)
-
-    cores: list[np.ndarray] = [None] * k
-    r_right = 1
-    for p in range(k, 1, -1):
-        # c rows merge modes 1..p-1, columns merge (i_p, alpha_p), i_p fastest
-        v, c = right_basis(c, tol)
-        r_left = v.shape[1]
-        if r_left == 0:
-            return tt_zero(dims)
-        cores[p - 1] = v.T.reshape(r_left, dims[p - 1], r_right, order="F")
-        if p > 2:
-            c = c.reshape(-1, dims[p - 2] * r_left, order="F")
-        r_right = r_left
-    cores[0] = c.reshape(1, dims[0], r_right, order="F")
-    return TensorTrain(tuple(cores))
+    dims = source.shape
+    return _tt_svd(source.reshape(math.prod(dims[:-1]), dims[-1], order="F"),
+                   dims, tol)
 
 
 def tt_reconstruct(train: TensorTrain) -> np.ndarray:

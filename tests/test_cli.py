@@ -7,6 +7,9 @@ from hpdstensor import cli, serialize
 from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.cli import run
+from hpdstensor.errors import (ArgumentError, AssumptionError,
+                               DivergenceError, HpdsError, NumericError,
+                               ScaleError, ShapeError)
 from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
 from hpdstensor.model import HpdsModel, eval_derivative, simulate_discrete
 from hpdstensor.tensor_train import tt_reconstruct
@@ -232,6 +235,21 @@ def test_usage_errors_exit_1(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 1
     assert run(["frobnicate"]) == 1
     assert run([]) == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (ArgumentError("bad"), 1), (ShapeError("bad"), 1),
+    (AssumptionError("bad"), 1), (HpdsError("bad"), 1),
+    (NumericError("bad"), 3), (DivergenceError(7), 3),
+    (ScaleError("bad"), 4)])
+def test_package_errors_map_to_documented_exit_codes(tmp_path, monkeypatch,
+                                                     error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_decompose", fail)
+    assert run(["decompose", "--tensor", str(tmp_path / "t.json"),
+                "--method", "tt", "--out", str(tmp_path / "o.json")]) == code
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

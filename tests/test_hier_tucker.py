@@ -10,11 +10,15 @@ from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
                                     build_tree, htd_contract, htd_decompose,
-                                    htd_param_count, htd_reconstruct)
+                                    htd_param_count, htd_reconstruct,
+                                    htd_sweep)
 from hpdstensor.kernels import (RankTolerance, numerical_rank,
                                 orthonormal_deviation)
-from hpdstensor.tensor_train import tt_decompose, tt_contract
+from hpdstensor.tensor_core import _keep_every_row
+from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
+                                     tt_reconstruct)
 
+from test_sysid import balanced_tree_over, caterpillar_tree
 from test_tensor_train import dense_contraction_oracle, evaluate, random_tensor
 
 
@@ -312,6 +316,61 @@ class TestEvalAndContract:
         h = htd_decompose(random_tensor((2, 2, 2), 48))
         with pytest.raises(ArgumentError):
             htd_contract(h, [np.ones(2), np.ones(2), np.ones(2)])
+
+
+def recursive_sweep(h, mats, merge):
+    """The tree sweep as its own recursive walker, splitting each transfer
+    on every visit, before it ran on the post-order program: the reference
+    the shared walker is pinned to."""
+    k = len(h.dims)
+
+    def message(node):
+        if node.is_leaf:
+            p = node.modes[0]
+            u = np.asarray(h.leaf_factors[p], dtype=float)
+            return u[None] if p == k else (mats[p - 1].T @ u)[:, None, :]
+        left, right = message(node.left), message(node.right)
+        g = np.asarray(h.transfer[node.modes], dtype=float)
+        q, t = g.shape[1], left.shape[1] * right.shape[1]
+        g3 = g.reshape(left.shape[2], right.shape[2], q, order="F")
+        half = np.tensordot(left, g3, axes=(2, 0))
+        met = np.tensordot(right, half, axes=(2, 2))
+        met = met.transpose(2, 0, 3, 1, 4)
+        merged = merge(met.reshape(left.shape[0], right.shape[0], t * q))
+        return merged.reshape(merged.shape[0], t, q)
+
+    return message(h.tree.root)[:, :, 0].T
+
+
+def sum_right_argument(met):
+    """A merge that shrinks the message: the sum over the later argument."""
+    return met.sum(axis=1)
+
+
+class TestOneTreeWalker:
+    @pytest.mark.parametrize("shape", ["balanced", "caterpillar",
+                                       "k_in_left_child"])
+    @pytest.mark.parametrize("source", ["generic", "low_rank", "zero"])
+    @pytest.mark.parametrize("merge", [_keep_every_row, sum_right_argument])
+    def test_sweep_matches_the_recursive_walker_bitwise(self, shape, source,
+                                                        merge):
+        n, k = 3, 5
+        rng = np.random.default_rng(71)
+        tensor = {"generic": rng.standard_normal((n,) * k),
+                  "low_rank": tt_reconstruct(TensorTrain(tuple(
+                      rng.standard_normal(r) for r in
+                      [(1, n, 2)] + [(2, n, 2)] * (k - 2) + [(2, n, 1)]))),
+                  "zero": np.zeros((n,) * k)}[source]
+        tree = {"balanced": build_tree(k), "caterpillar": caterpillar_tree(k),
+                "k_in_left_child": balanced_tree_over(
+                    (k,) + tuple(range(1, k)))}[shape]
+        h = htd_decompose(tensor, tree)
+        assert (h.rank_of((k,)) == 0) == (source == "zero")
+        mats = [rng.standard_normal((n, c)) for c in (2, 1, 3, 2)]
+        got = htd_sweep(h, mats, merge)
+        want = recursive_sweep(h, mats, merge)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestParamCount:

@@ -21,7 +21,8 @@ from hpdstensor.sysid import (check_identifiability_autonomous,
                               check_identifiability_io, identify_full,
                               identify_ht, identify_io, identify_io_noisy,
                               identify_tt, required_rank)
-from hpdstensor.tensor_train import TensorTrain, tt_decompose, tt_reconstruct
+from hpdstensor.tensor_train import (TensorTrain, tt_decompose, tt_reconstruct,
+                                     tt_zero)
 
 
 def exact_autonomous_samples(tensor, t_count, seed, scale=1.0):
@@ -472,6 +473,46 @@ def coefficient_truth(kind, n, k, rank, seed):
     for digits in members.T:
         terms = terms * v[:, digits]
     return rng.uniform(-1.0, 1.0, (n, rank)) @ terms
+
+
+def separate_symmetric_train(coeffs, tables, tol):
+    """The train of the almost symmetric tensor with k-mode unfolding
+    coeffs[:, columns] as its own copy of the TT-SVD loop, before the loop
+    was shared with the dense decomposition: the reference the shared loop
+    is pinned to."""
+    _, grows, counts = tables
+    n, k = coeffs.shape[0], len(grows) + 1
+    dims = (n,) * k
+    if not np.any(coeffs):
+        return tt_zero(dims)
+    cores = [None] * k
+    rows, r_right = coeffs.T, 1
+    for p in range(k, 1, -1):
+        v, rows = kernels.right_basis(rows, tol, np.sqrt(counts[p - 1]))
+        r_left = v.shape[1]
+        if r_left == 0:
+            return tt_zero(dims)
+        cores[p - 1] = v.T.reshape(r_left, n, r_right, order="F")
+        rows = rows[grows[p - 2]].reshape(-1, n * r_left, order="F")
+        r_right = r_left
+    cores[0] = rows.reshape(1, n, r_right, order="F")
+    return TensorTrain(tuple(cores))
+
+
+@pytest.mark.parametrize("kind, n, k, rank, seed", [
+    ("generic", 3, 4, 1, 0), ("generic", 2, 6, 1, 1), ("generic", 4, 3, 1, 2),
+    ("generic", 1, 5, 1, 3), ("low_rank", 3, 5, 2, 4),
+    ("low_rank", 4, 4, 1, 5), ("low_rank", 5, 3, 3, 6), ("zero", 3, 4, 1, 7),
+    ("zero", 2, 2, 1, 8)])
+def test_identify_tt_matches_the_separate_loop_bitwise(kind, n, k, rank,
+                                                       seed):
+    s = coefficient_samples(n, k, coefficient_truth(kind, n, k, rank, seed),
+                            3, seed)
+    coeffs, conversion, tables = sysid._recover_coefficients(s, k, None)
+    got = identify_tt(s, k).dynamics.cores
+    want = separate_symmetric_train(coeffs, tables, conversion).cores
+    assert [c.shape for c in got] == [c.shape for c in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestDecomposedFromCoefficients:

@@ -272,14 +272,17 @@ class TestMultisets:
                                      (7, 3), (1, 4), (2, 2), (300, 2), (1, 1),
                                      (6, 1), (2, 9)])
     def test_matches_the_sort_bitwise(self, n, m):
-        got = tc.multisets(n, m)
-        want = multisets_by_sorting(n, m)
-        for g, w in zip(got, want):
+        members, grows, counts = tc.multiset_tables(n, m)
+        want_members, want_ranks, want_counts = multisets_by_sorting(n, m)
+        assert np.array_equal(members[m], want_members)
+        for g, w in ((tc._multiset_ranks(grows), want_ranks),
+                     (counts[m], want_counts)):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
 
     def test_members_in_combinations_order(self):
-        members, ranks, counts = tc.multisets(3, 4)
+        members, grows, counts = tc.multiset_tables(3, 4)
+        members, ranks, counts = members[4], tc._multiset_ranks(grows), counts[4]
         assert [tuple(row) for row in members] == list(
             itertools.combinations_with_replacement(range(3), 4))
         for j, digits in enumerate(itertools.product(range(3), repeat=4)):
@@ -309,6 +312,6 @@ class TestMultisets:
         with pytest.raises(ArgumentError):
             tc.multiset_tables(2, 0)
         with pytest.raises(ArgumentError):
-            tc.multisets(3, 0)
+            tc.multiset_tables(3, 0)
         with pytest.raises(ArgumentError):
-            tc.multisets(0, 2)
+            tc.multiset_tables(0, 2)

@@ -7,7 +7,7 @@ from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
-from hpdstensor.kernels import numerical_rank
+from hpdstensor.kernels import RankTolerance, numerical_rank, right_basis
 from hpdstensor.model import FORMATS, HpdsModel, eval_derivative, format_of
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
                                      tt_param_count, tt_reconstruct, tt_zero)
@@ -108,6 +108,58 @@ class TestDecompose:
             TensorTrain((np.zeros((1, 2, 2)), np.zeros((3, 2, 1))))
         with pytest.raises(ShapeError):
             TensorTrain((np.zeros((2, 2, 1)),))
+
+
+def separate_tt_decompose(source, tol=None):
+    """The dense TT-SVD as its own loop, before it was shared with
+    identification: the reference the shared loop is pinned to."""
+    source = np.asarray(source, dtype=float)
+    dims, k = source.shape, source.ndim
+    c = tc.unfold(source, range(1, k)) if k > 1 else source.reshape(-1, 1)
+    if k == 1:
+        return TensorTrain((c.reshape(1, dims[0], 1, order="F"),))
+    if not np.any(c):
+        return tt_zero(dims)
+    cores = [None] * k
+    r_right = 1
+    for p in range(k, 1, -1):
+        v, c = right_basis(c, tol)
+        r_left = v.shape[1]
+        if r_left == 0:
+            return tt_zero(dims)
+        cores[p - 1] = v.T.reshape(r_left, dims[p - 1], r_right, order="F")
+        if p > 2:
+            c = c.reshape(-1, dims[p - 2] * r_left, order="F")
+        r_right = r_left
+    cores[0] = c.reshape(1, dims[0], r_right, order="F")
+    return TensorTrain(tuple(cores))
+
+
+def pinned_tensors():
+    rng = np.random.default_rng(61)
+    low = TensorTrain(tuple(rng.standard_normal(shape) for shape in
+                            [(1, 3, 2), (2, 3, 2), (2, 3, 2), (2, 3, 1)]))
+    return {
+        "generic": rng.standard_normal((3, 4, 3, 2)),
+        "low_rank": tt_reconstruct(low),
+        "non_cubical": rng.standard_normal((2, 5, 3)),
+        "order_1": rng.standard_normal(6),
+        "order_2": rng.standard_normal((4, 3)),
+        "zero": np.zeros((3, 3, 3)),
+        "negative_zero": -np.zeros((2, 2, 2, 2)),
+        "zero_order_1": -np.zeros(3),
+    }
+
+
+class TestOneTrainLoop:
+    @pytest.mark.parametrize("name", sorted(pinned_tensors()))
+    @pytest.mark.parametrize("tol", [None, RankTolerance(value=1e-2)])
+    def test_cores_match_the_separate_loop_bitwise(self, name, tol):
+        source = pinned_tensors()[name]
+        got = tt_decompose(source, tol).cores
+        want = separate_tt_decompose(source, tol).cores
+        assert [c.shape for c in got] == [c.shape for c in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestReconstruct:
