@@ -2,7 +2,9 @@
 
 The three generation schemes mirror the numerical-experiment setup: fully
 symmetric dense tensors, tensors built from low-rank trains, and tensors
-built from low-rank trees.  Memory reports compare exact parameter counts;
+built from low-rank trees.  A symmetric instance is decomposed from its
+distinct values, the others from their dense tensor.  Memory reports
+compare exact parameter counts;
 timing reports measure controllability-matrix construction per
 representation and refuse to record a run whose representations disagree on
 the reachable rank.
@@ -18,12 +20,13 @@ import numpy as np
 
 from .analysis import controllability
 from .errors import ArgumentError, NumericError, ScaleError
-from .hier_tucker import HTucker, build_tree, htd_decompose, htd_reconstruct
+from .hier_tucker import (HTucker, _symmetric_tree, build_tree, htd_decompose,
+                          htd_reconstruct)
 from .kernels import RankTolerance
 from .model import FORMATS
 from .randomness import generator
 from .tensor_core import _multiset_ranks, multiset_tables
-from .tensor_train import TensorTrain, tt_decompose, tt_reconstruct
+from .tensor_train import TensorTrain, _tt_svd, tt_decompose, tt_reconstruct
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
            "memory_report", "timing_report"]
@@ -102,13 +105,36 @@ def _random_ht(n: int, k: int, rank_cap: int, seed: int) -> HTucker:
     return HTucker(tree, (n,) * k, leaf_factors, transfer)
 
 
+def _symmetric_forms(dense: np.ndarray) -> tuple[TensorTrain, HTucker]:
+    """The train and the balanced tree of a fully symmetric tensor, from its
+    n x C(n+k-2, k-1) monomial coefficients.
+
+    Column m of the coefficients is the fiber along mode k at the sorted
+    multi-index of the (k-1)-multiset m, one row of ``dense``'s C-order
+    reshape; only these n * C(n+k-2, k-1) entries are read.  They are
+    decomposed by the loops identification runs, on distinct rows weighted
+    by their counts, with every default threshold at the dense unfolding's
+    shape, so the ranks are those of :func:`tt_decompose` and
+    :func:`htd_decompose` on ``dense``.
+    """
+    n, k = dense.shape[0], dense.ndim
+    tables = multiset_tables(n, k - 1)
+    rows = tables[0][k - 1] @ n ** np.arange(k - 2, -1, -1)
+    coeffs = dense.reshape(-1, n)[rows].T
+    return (_tt_svd(coeffs.T, dense.shape, None, tables[1:]),
+            _symmetric_tree(coeffs, tables, build_tree(k), None))
+
+
 def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
                  seed: int = 0) -> Instance:
     """Generate one instance and decompose it into the other representations.
 
     The dense tensor is the interchange form, so the guard refuses sizes
     whose dense materialization exceeds the desk-scale limit.  Decomposed
-    ranks are measured from the dense tensor, not assumed from the caps.
+    ranks are measured from the dense tensor, not assumed from the caps: a
+    symmetric instance's by decomposing its distinct monomial coefficients
+    (:func:`_symmetric_forms`), which give the dense tensor's ranks, the
+    other schemes' by :func:`tt_decompose` and :func:`htd_decompose`.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -118,7 +144,8 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
         raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
     if scheme == "symmetric":
         dense = _symmetric_dense(n, k, seed)
-    elif scheme == "low_tt":
+        return Instance(scheme, n, k, seed, dense, *_symmetric_forms(dense))
+    if scheme == "low_tt":
         dense = tt_reconstruct(_random_tt(n, k, rank_cap, seed))
     else:
         dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))

@@ -15,11 +15,14 @@ with the left-child rank index fastest in G_Q's merged row index.  The
 reconstruction round-trip tests are the arbiter for this choice.  The root
 "factor" is vec(A) itself, absorbed into the root transfer by projection.
 
-A dense tensor is decomposed in one leaves-to-root climb: k leaf QRs over
-the n^k entries, one projection onto the leaf factors, then one SVD per
-internal node of a matrix with r_left * r_right rows.  With no tolerance
-given, each node's threshold is the default one at the shape of its dense
-unfolding, so every node rank is that unfolding's numerical rank.
+A dense tensor is decomposed in one leaves-to-root climb: k leaf QRs, each
+of the core the earlier leaves left, so that only the first reads all n^k
+entries, then one SVD per internal node of a matrix with r_left * r_right
+rows.  An almost symmetric tensor given by its monomial coefficients is
+decomposed on distinct rows instead, one basis per kind of node
+(:func:`_symmetric_tree`).  With no tolerance given, each node's threshold
+is the default one at the shape of its dense unfolding, so every node rank
+is that unfolding's numerical rank.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kernels import RankTolerance, _tol_at, left_basis
+from .kernels import (RankTolerance, _sign_rule, _tol_at, compact_svd,
+                      left_basis)
 from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
@@ -184,32 +188,26 @@ class HTucker:
 
 def _node_tol(tol: RankTolerance | None, dims, modes) -> RankTolerance:
     """``tol``, or the default threshold at the shape of the node's dense
-    unfolding, so that the smaller projected matrix keeps the same ranks."""
+    unfolding when ``tol`` is relative to the shape (None or without a
+    value), so that the smaller projected matrix keeps the same ranks."""
     rows = math.prod(dims[p - 1] for p in modes)
     return _tol_at(tol, (rows, math.prod(dims) // rows))
 
 
-def _mode_unfolding(tensor: np.ndarray, p: int) -> np.ndarray:
-    """Mode-p unfolding with its columns in C order, so that its transpose
-    is the Fortran-ordered matrix the QR in :func:`left_basis` reads."""
-    return np.moveaxis(tensor, p - 1, 0).reshape(tensor.shape[p - 1], -1)
-
-
-def _climb(tensor: np.ndarray, tree: DimensionTree, leaf_factors: dict,
+def _climb(core: np.ndarray, tree: DimensionTree, dims,
            tol: RankTolerance | None) -> dict:
-    """Transfer matrices of ``tensor`` above the given leaf factors.
+    """Transfer matrices above the leaves of a tensor of ``dims``, given as
+    ``core``, the tensor projected onto every leaf factor, with the leaf
+    rank axes in mode order.
 
-    The tensor is projected onto every leaf factor, and the core's axes are
-    put in tree order, so that each node's children are adjacent axes.
-    Internal nodes are then visited from small to large: the node's transfer
-    is the left singular basis of its children's merged axes against the
-    rest of the core, which is projected onto it in turn.  The root's
-    transfer is the last core itself.
+    The core's axes are put in tree order, so that each node's children are
+    adjacent axes.  Internal nodes are then visited from small to large:
+    the node's transfer is the left singular basis of its children's
+    (r_left * r_right)-row merged axes against the rest of the core, which
+    is projected onto it in turn; its threshold is :func:`_node_tol`'s, at
+    the node's dense unfolding.  The root's transfer is what remains of
+    vec(A), keeping the overall scale.
     """
-    core = tensor
-    for p in range(1, tensor.ndim + 1):
-        # contracting axis 0 each time leaves the rank axes in mode order
-        core = np.tensordot(core, leaf_factors[p], axes=(0, 0))
     order = tree.root.ordered_modes()
     core = core.transpose([p - 1 for p in order])
     axes = [(p,) for p in order]
@@ -223,11 +221,111 @@ def _climb(tensor: np.ndarray, tree: DimensionTree, leaf_factors: dict,
         if node is tree.root:
             transfer[node.modes] = merged
             break
-        g = left_basis(merged, _node_tol(tol, tensor.shape, node.modes))
+        g = left_basis(merged, _node_tol(tol, dims, node.modes))
         core = np.moveaxis((g.T @ merged).reshape((g.shape[1],) + rest), 0, i)
         axes[i:i + 2] = [node.modes]
         transfer[node.modes] = g
     return transfer
+
+
+def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,
+                    tol: RankTolerance | None) -> HTucker:
+    """A hierarchical Tucker tree of the almost symmetric tensor with k-mode
+    unfolding coeffs[:, columns], on distinct rows.
+
+    A node's unfolding depends only on its kind (q, has_k): q of its modes
+    are among the symmetric modes 1..k-1, and has_k says whether it holds
+    mode k.  Its distinct rows are the q-multisets, times i_k when has_k
+    (multiset fastest), and its distinct columns those of the complement;
+    entry (m, m_c) reads coefficient union(m, m_c).  Weighted by the square
+    roots of their counts on both sides, they have the dense unfolding's
+    singular values, and its left singular vectors once divided by the row
+    weights.  So one basis per kind, at ``tol`` resolved as
+    :func:`_node_tol` resolves it, at the dense unfolding's shape
+    n^(q+has_k) x n^(k-q-has_k), serves every node of that kind: the
+    leaves 1..k-1 share one array.  The complement's kind has the
+    transposed unfolding, so the same SVD gives its basis from V; the
+    root's two children are such a pair.
+
+    The transfer of node t with children l and r is (U_r kron U_l)^T U_t, a
+    sum over the children's multi-indices that depends only on their
+    multisets, so it runs over the children's distinct rows with the
+    counts as weights.  Its columns are signed by the rule of
+    :func:`kernels.compact_svd`, the node's basis flipped alongside.  The
+    root's basis is vec(A) itself, one coefficient per (multiset, i_k).
+    """
+    members, grows, counts = tables
+    n, k = coeffs.shape[0], tree.order
+    unions: dict = {}
+
+    def union(a: int, b: int) -> np.ndarray:
+        # M_a x M_b ranks of the (a + b)-multiset m_a + m_b
+        if (a, b) not in unions:
+            table = np.arange(counts[a].size)[:, None]
+            for j, digit in enumerate(members[b].T):
+                table = grows[a + j][table, digit]
+            unions[a, b] = np.broadcast_to(table, (counts[a].size,
+                                                   counts[b].size))
+        return unions[a, b]
+
+    weights: dict = {}
+
+    def weight(kind) -> np.ndarray:
+        if kind not in weights:
+            weights[kind] = np.tile(counts[kind[0]].astype(float),
+                                    n if kind[1] else 1)
+        return weights[kind]
+
+    def kind_of(node) -> tuple[int, bool]:
+        return len(node.modes) - (k in node.modes), k in node.modes
+
+    def merge(left, right) -> np.ndarray:
+        # parent row of each pair of child rows; i_k is the slowest index
+        table = union(left[0], right[0])
+        stride = counts[left[0] + right[0]].size * np.arange(n)
+        if left[1]:
+            return (table + stride[:, None, None]).reshape(-1, table.shape[1])
+        if right[1]:
+            return (table[:, None] + stride[:, None]).reshape(table.shape[0],
+                                                              -1)
+        return table
+
+    bases = {(k - 1, True): coeffs.reshape(-1, 1)}
+
+    def basis(kind) -> np.ndarray:
+        if kind not in bases:
+            q, has_k = kind
+            other = (k - 1 - q, not has_k)
+            block = coeffs[:, union(q, k - 1 - q)]  # (i_k, m, m_c)
+            block = (block.reshape(-1, block.shape[2]) if has_k else
+                     block.transpose(1, 0, 2).reshape(block.shape[1], -1))
+            rows, cols = np.sqrt(weight(kind)), np.sqrt(weight(other))
+            size = q + has_k
+            svd = compact_svd(rows[:, None] * block * cols,
+                              _tol_at(tol, (n ** size, n ** (k - size))))
+            bases[kind] = svd.U / rows[:, None]
+            bases[other] = svd.V / cols[:, None]
+        return bases[kind]
+
+    values, leaf_factors, transfer = {}, {}, {}
+    for leaf in tree.leaves():
+        values[leaf.modes] = leaf_factors[leaf.modes[0]] = basis(
+            kind_of(leaf))
+    for node in sorted(tree.internal_nodes(), key=lambda t: len(t.modes)):
+        left, right = kind_of(node.left), kind_of(node.right)
+        u = basis(kind_of(node)).copy()
+        u_left = values[node.left.modes] * weight(left)[:, None]
+        u_right = values[node.right.modes] * weight(right)[:, None]
+        # explicit sizes: a -1 is ambiguous once a rank is 0
+        (rows_l, r_l), (rows_r, r_r), r_t = (u_left.shape, u_right.shape,
+                                             u.shape[1])
+        block = u[merge(left, right)].reshape(rows_l, rows_r * r_t)
+        g = u_right.T @ (u_left.T @ block).reshape(r_l, rows_r, r_t)
+        g = g.reshape(r_l * r_r, r_t, order="F")  # left child's rank fastest
+        if node is not tree.root and g.shape[0]:
+            _sign_rule(g, u)
+        values[node.modes], transfer[node.modes] = u, g
+    return HTucker(tree, (n,) * k, leaf_factors, transfer)
 
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
@@ -276,20 +374,24 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
     """Decompose a dense tensor on the given (default balanced) tree.
 
     One leaves-to-root climb (the hierarchical SVD of Grasedyck, SIAM J.
-    Matrix Anal. Appl. 2010).  Each leaf factor is the left singular basis
-    of its mode unfolding, taken through a QR of the unfolding's transpose,
-    so its SVD is n_p x n_p.  The tensor is then projected onto the leaf
-    factors; these k QRs and the first projection are the only work over
-    all n^k entries.  Each internal node, from small to large, takes the
-    left singular basis of the (r_left * r_right)-row matrix its children's
-    projections leave, and the core is projected onto that.  The root
-    transfer is what remains of vec(A), keeping the overall scale.
+    Matrix Anal. Appl. 2010) whose leaves are sequentially truncated
+    (Vannieuwenhoven, Vandebril & Meerbergen, SIAM J. Sci. Comput. 2012).
+    Leaf p is the left singular basis of the mode-p unfolding of the core
+    already projected onto leaves 1..p-1, taken through a QR of the
+    unfolding's transpose, so its SVD is n_p x n_p; the core is then
+    projected onto it.  Contracting axis 0 each time keeps mode p at axis
+    0, so the unfolding is a free reshape, and the product that projects
+    also puts the new rank axis last.  Only leaf 1 reads all n^k entries;
+    every leaf of rank below n_p shrinks the matrices of the later ones.
+    :func:`_climb` then builds the internal nodes from the projected core.
 
     Without truncation the projections keep every singular value, so the
     hierarchical rank at a node is the numerical rank of its dense
-    unfolding: with ``tol`` None each node's threshold is the default one at
-    that unfolding's shape, max(rows, n^k / rows) eps sigma_max.  A coarser
-    ``tol`` truncates every node at that tolerance.  No symmetry is assumed.
+    unfolding: with ``tol`` None (or relative with no value) each node's
+    threshold, leaves included, is the default one at that unfolding's
+    shape, max(rows, n^k / rows) eps sigma_max.  A coarser ``tol``
+    truncates every node at that tolerance, each leaf on the core the
+    earlier leaves left.  No symmetry is assumed.
     """
     tensor = np.asarray(tensor, dtype=float)
     k = tensor.ndim
@@ -297,11 +399,15 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
         tree = build_tree(k)
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != tensor order {k}")
-    leaf_factors = {p: left_basis(_mode_unfolding(tensor, p),
-                                  _node_tol(tol, tensor.shape, (p,)))
-                    for p in range(1, k + 1)}
-    return HTucker(tree, tensor.shape, leaf_factors,
-                   _climb(tensor, tree, leaf_factors, tol))
+    dims = tensor.shape
+    core, leaf_factors = tensor, {}
+    for p in range(1, k + 1):
+        rest = core.shape[1:]
+        unfolding = core.reshape(dims[p - 1], math.prod(rest))
+        u = leaf_factors[p] = left_basis(unfolding,
+                                         _node_tol(tol, dims, (p,)))
+        core = (unfolding.T @ u).reshape(rest + (u.shape[1],))
+    return HTucker(tree, dims, leaf_factors, _climb(core, tree, dims, tol))
 
 
 def htd_reconstruct(h: HTucker) -> np.ndarray:

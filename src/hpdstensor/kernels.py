@@ -47,13 +47,16 @@ class RankTolerance:
 
 
 def _tol_at(tol: RankTolerance | None, shape) -> RankTolerance:
-    """``tol``, or the default threshold at ``shape``.
+    """``tol``, or the default threshold at ``shape`` when ``tol`` is None
+    or a relative tolerance with no value.
 
     A smaller matrix that shares the singular values of one of ``shape``
     (a triangular factor, or distinct rows weighted by their counts) reaches
     that matrix's verdicts at this tolerance.
     """
-    return RankTolerance(value=max(shape) * _EPS) if tol is None else tol
+    if tol is None or tol.value is None:  # an absolute one has a value
+        return RankTolerance(value=max(shape) * _EPS)
+    return tol
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ def left_basis(matrix: np.ndarray,
 
     A wide matrix A (m < n columns) is R^T Q^T for the QR factorization of
     A^T, so it has the singular values and left singular vectors of the
-    m x m factor R^T; only that factor reaches the SVD.  The threshold
-    stays at A's shape.
+    m x m factor R^T; only that factor reaches the SVD.  A threshold
+    relative to the shape (``tol`` None or without a value) stays at A's.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     m, n = matrix.shape
@@ -126,9 +129,10 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
 
     A tall matrix A (m > n rows) is Q R, so it has the singular values and
     right singular vectors of the n x n factor R; only that factor reaches
-    the SVD, and U S is A V.  The threshold stays at A's shape, and each
-    column of A V has its largest-magnitude entry positive, the sign rule
-    of :func:`compact_svd`, with V's columns flipped alongside.
+    the SVD, and U S is A V.  A threshold relative to the shape stays at
+    A's, as in :func:`left_basis`, and each column of A V has its
+    largest-magnitude entry positive, the sign rule of :func:`compact_svd`,
+    with V's columns flipped alongside.
 
     With ``root``, V is that of diag(root) A, and the unweighted A V is
     returned, signed by the same rule.  When row i of A stands for root_i^2

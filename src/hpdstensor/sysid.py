@@ -20,7 +20,8 @@ ordering of its symmetric modes, so each decomposition works on the
 distinct rows and columns, weighted by the square roots of their
 multiplicities, which have the dense unfolding's singular values and
 singular vectors.  The train is the TT-SVD loop of :func:`tt_decompose`
-given the multiset tables; the tree has its own per-kind bases.
+given the multiset tables; the tree is built from one basis per kind of
+node (:func:`hier_tucker._symmetric_tree`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
-from .hier_tucker import DimensionTree, HTucker, build_tree
-from .kernels import RankTolerance, _sign_rule, _tol_at, compact_svd
+from .hier_tucker import DimensionTree, _symmetric_tree, build_tree
+from .kernels import RankTolerance, _tol_at, compact_svd
 from .model import HpdsModel, SampleSet
 from .tensor_core import _multiset_ranks, fold, multiset_tables
 from .tensor_train import _tt_svd
@@ -135,14 +136,17 @@ def _qr_fit(design: np.ndarray, target: np.ndarray | None, shape,
 
     The factor's leading block R11, rows x rows once T >= rows, is the
     triangular factor of design^T, so it has the design's singular values;
-    the block R12 beside it is Q^T target^T.  The threshold is ``tol``'s, or
-    the default at ``shape``, the data matrix the design stands in for.
+    the block R12 beside it is Q^T target^T.  The threshold is ``tol``'s;
+    without one, the default at ``shape``, the data matrix the design
+    stands in for.  A given relative tolerance with no value is judged at
+    the design's own shape, as :func:`compact_svd` of the design judges it.
     Without ``target`` only the design is factored.
     """
     stack = design.T if target is None else np.hstack([design.T, target.T])
     tri = np.linalg.qr(_finite(stack), mode="r")
     count = design.shape[0]
-    return (_report(tri[:count, :count], design.shape, _tol_at(tol, shape),
+    at = shape if tol is None else design.shape
+    return (_report(tri[:count, :count], design.shape, _tol_at(tol, at),
                     required), tri)
 
 
@@ -235,102 +239,6 @@ def identify_tt(samples: SampleSet, k: int,
     n = samples.X0.shape[0]
     return HpdsModel(k, n, _tt_svd(coeffs.T, (n,) * k, conversion,
                                    (grows, counts)))
-
-
-def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,
-                    tol: RankTolerance) -> HTucker:
-    """A hierarchical Tucker tree of the almost symmetric tensor with k-mode
-    unfolding coeffs[:, columns], on distinct rows.
-
-    A node's unfolding depends only on its kind (q, has_k): q of its modes
-    are among the symmetric modes 1..k-1, and has_k says whether it holds
-    mode k.  Its distinct rows are the q-multisets, times i_k when has_k
-    (multiset fastest), and its distinct columns those of the complement;
-    entry (m, m_c) reads coefficient union(m, m_c).  Weighted by the square
-    roots of their counts on both sides, they have the dense unfolding's
-    singular values, and its left singular vectors once divided by the row
-    weights.  So one basis per kind, at ``tol``, serves every node of that
-    kind: the leaves 1..k-1 share one array.  The complement's kind has the
-    transposed unfolding, so the same SVD gives its basis from V; the
-    root's two children are such a pair.
-
-    The transfer of node t with children l and r is (U_r kron U_l)^T U_t, a
-    sum over the children's multi-indices that depends only on their
-    multisets, so it runs over the children's distinct rows with the
-    counts as weights.  Its columns are signed by the rule of
-    :func:`kernels.compact_svd`, the node's basis flipped alongside.  The
-    root's basis is vec(A) itself, one coefficient per (multiset, i_k).
-    """
-    members, grows, counts = tables
-    n, k = coeffs.shape[0], tree.order
-    unions: dict = {}
-
-    def union(a: int, b: int) -> np.ndarray:
-        # M_a x M_b ranks of the (a + b)-multiset m_a + m_b
-        if (a, b) not in unions:
-            table = np.arange(counts[a].size)[:, None]
-            for j, digit in enumerate(members[b].T):
-                table = grows[a + j][table, digit]
-            unions[a, b] = np.broadcast_to(table, (counts[a].size,
-                                                   counts[b].size))
-        return unions[a, b]
-
-    weights: dict = {}
-
-    def weight(kind) -> np.ndarray:
-        if kind not in weights:
-            weights[kind] = np.tile(counts[kind[0]].astype(float),
-                                    n if kind[1] else 1)
-        return weights[kind]
-
-    def kind_of(node) -> tuple[int, bool]:
-        return len(node.modes) - (k in node.modes), k in node.modes
-
-    def merge(left, right) -> np.ndarray:
-        # parent row of each pair of child rows; i_k is the slowest index
-        table = union(left[0], right[0])
-        stride = counts[left[0] + right[0]].size * np.arange(n)
-        if left[1]:
-            return (table + stride[:, None, None]).reshape(-1, table.shape[1])
-        if right[1]:
-            return (table[:, None] + stride[:, None]).reshape(table.shape[0],
-                                                              -1)
-        return table
-
-    bases = {(k - 1, True): coeffs.reshape(-1, 1)}
-
-    def basis(kind) -> np.ndarray:
-        if kind not in bases:
-            q, has_k = kind
-            other = (k - 1 - q, not has_k)
-            block = coeffs[:, union(q, k - 1 - q)]  # (i_k, m, m_c)
-            block = (block.reshape(-1, block.shape[2]) if has_k else
-                     block.transpose(1, 0, 2).reshape(block.shape[1], -1))
-            rows, cols = np.sqrt(weight(kind)), np.sqrt(weight(other))
-            svd = compact_svd(rows[:, None] * block * cols, tol)
-            bases[kind] = svd.U / rows[:, None]
-            bases[other] = svd.V / cols[:, None]
-        return bases[kind]
-
-    values, leaf_factors, transfer = {}, {}, {}
-    for leaf in tree.leaves():
-        values[leaf.modes] = leaf_factors[leaf.modes[0]] = basis(
-            kind_of(leaf))
-    for node in sorted(tree.internal_nodes(), key=lambda t: len(t.modes)):
-        left, right = kind_of(node.left), kind_of(node.right)
-        u = basis(kind_of(node)).copy()
-        u_left = values[node.left.modes] * weight(left)[:, None]
-        u_right = values[node.right.modes] * weight(right)[:, None]
-        # explicit sizes: a -1 is ambiguous once a rank is 0
-        (rows_l, r_l), (rows_r, r_r), r_t = (u_left.shape, u_right.shape,
-                                             u.shape[1])
-        block = u[merge(left, right)].reshape(rows_l, rows_r * r_t)
-        g = u_right.T @ (u_left.T @ block).reshape(r_l, rows_r, r_t)
-        g = g.reshape(r_l * r_r, r_t, order="F")  # left child's rank fastest
-        if node is not tree.root and g.shape[0]:
-            _sign_rule(g, u)
-        values[node.modes], transfer[node.modes] = u, g
-    return HTucker(tree, (n,) * k, leaf_factors, transfer)
 
 
 def identify_ht(samples: SampleSet, k: int,

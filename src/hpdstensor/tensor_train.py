@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .kernels import RankTolerance, right_basis
+from .kernels import RankTolerance, _tol_at, right_basis
 from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
 
 __all__ = [
@@ -81,14 +81,20 @@ def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
     root of their counts, have the dense matrix's V and singular values
     (:func:`kernels.right_basis`), and the next step's row for the
     (p-2)-multiset s and column (j, alpha) is row grows[p-2][s, j] of A V.
-    Ranks and cores are those of the dense TT-SVD at ``tol``.
+
+    A threshold relative to the shape (``tol`` None or without a value) is
+    resolved at step p's dense matrix, (n_1 ... n_{p-1}) x (n_p r_p), which
+    is the shape of ``rows`` when no tables are given; any other ``tol``
+    is used as it is.  So ranks and cores are those of the dense TT-SVD at
+    ``tol``.
     """
     k = len(dims)
     cores: list[np.ndarray] = [None] * k
     r_right = 1
     for p in range(k, 1, -1):
         root = None if tables is None else np.sqrt(tables[1][p - 1])
-        v, rows = right_basis(rows, tol, root)
+        dense = (math.prod(dims[:p - 1]), dims[p - 1] * r_right)
+        v, rows = right_basis(rows, _tol_at(tol, dense), root)
         r_left = v.shape[1]
         if r_left == 0:
             return tt_zero(dims)

@@ -3,14 +3,18 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdstensor import benchmarks
 from hpdstensor.benchmarks import (SCHEMES, _symmetric_dense, gen_instance,
                                    memory_report, timing_report)
 from hpdstensor.errors import ArgumentError, ScaleError
-from hpdstensor.hier_tucker import htd_param_count, htd_reconstruct
+from hpdstensor.hier_tucker import (htd_decompose, htd_param_count,
+                                    htd_reconstruct)
 from hpdstensor.randomness import generator
-from hpdstensor.tensor_train import tt_param_count, tt_reconstruct
+from hpdstensor.tensor_train import (tt_decompose, tt_param_count,
+                                     tt_reconstruct)
 
 
 def symmetric_dense_loop(n, k, seed):
@@ -35,6 +39,26 @@ class TestGenInstance:
             got = _symmetric_dense(n, k, seed)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 5), k=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 16))
+    def test_symmetric_forms_have_the_dense_ranks(self, n, k, seed):
+        # decomposed from the distinct values, at the thresholds of the
+        # dense matrices, the ranks are the dense decompositions'
+        if n ** k > 20_000:
+            n = 2
+        inst = gen_instance("symmetric", n, k, seed=seed)
+        assert inst.tt.ranks == tt_decompose(inst.dense).ranks
+        dense_tree = htd_decompose(inst.dense)
+        for node, _ in inst.ht.tree.walk():
+            assert inst.ht.rank_of(node.modes) == \
+                dense_tree.rank_of(node.modes), node.modes
+        norm = np.linalg.norm(inst.dense)
+        assert np.linalg.norm(tt_reconstruct(inst.tt) - inst.dense) <= \
+            1e-13 * norm
+        assert np.linalg.norm(htd_reconstruct(inst.ht) - inst.dense) <= \
+            1e-13 * norm
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_round_trip_decompositions(self, scheme):
@@ -73,6 +97,41 @@ class TestGenInstance:
     def test_unknown_scheme(self):
         with pytest.raises(ArgumentError):
             gen_instance("dense", 2, 3)
+
+
+def count_factored(monkeypatch):
+    """From now on, the entries passed to numpy's QR and SVD, summed per
+    function: an exact count of the work done, the same on any machine."""
+    counts = {"qr": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counting(matrix, *args, _name=name, _original=original,
+                     **kwargs):
+            counts[_name] += np.size(matrix)
+            return _original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+class TestWorkDone:
+    def test_symmetric_instance_factors_less_than_one_pass(self,
+                                                            monkeypatch):
+        # the decompositions factor matrices built from the n * C(n+k-2,
+        # k-1) monomial coefficients, never the n^k = 78,125 dense entries
+        counts = count_factored(monkeypatch)
+        gen_instance("symmetric", 5, 7, seed=1)
+        assert 0 < counts["qr"] + counts["svd"] < 5 ** 7
+
+    def test_tree_leaves_factor_shrinking_cores(self, monkeypatch):
+        # six leaf QRs of dense unfoldings would read 6 * 8^6 = 1,572,864
+        # entries; after the rank-4 first leaf, each later leaf factors
+        # half as many, and the climb adds 75,776
+        dense = gen_instance("low_tt", 8, 6, rank_cap=4, seed=1).dense
+        counts = count_factored(monkeypatch)
+        htd_decompose(dense)
+        assert counts["qr"] <= 993_280
 
 
 class TestMemoryReport:

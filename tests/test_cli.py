@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hpdstensor.cli import run
 from hpdstensor.errors import (ArgumentError, AssumptionError,
                                DivergenceError, HpdsError, NumericError,
                                ScaleError, ShapeError)
-from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
+from hpdstensor.hier_tucker import build_tree, htd_decompose, htd_reconstruct
 from hpdstensor.model import HpdsModel, eval_derivative, simulate_discrete
 from hpdstensor.tensor_train import tt_reconstruct
 
@@ -228,6 +229,48 @@ def test_bench_time_csv(tmp_path):
     lines = out.read_text().splitlines()
     ranks = {line.split(",")[6] for line in lines[1:]}
     assert len(ranks) == 1  # representations agree on the rank
+
+
+def generic_symmetric_counts(n, k):
+    """Parameter counts of a generic fully symmetric tensor: every
+    unfolding's rank is the smaller of its distinct row and column counts,
+    C(n+s-1, s) multisets of the s row modes against those of the rest."""
+    def rank(s):
+        return min(math.comb(n + s - 1, s), math.comb(n + k - s - 1, k - s))
+
+    ranks = [1] + [rank(p) for p in range(1, k)] + [1]
+    tt = sum(ranks[p] * n * ranks[p + 1] for p in range(k))
+    tree = build_tree(k)
+    ht = 0
+    for node, _ in tree.walk():
+        r = 1 if node is tree.root else rank(len(node.modes))
+        ht += (n if node.is_leaf else rank(len(node.left.modes)) *
+               rank(len(node.right.modes))) * r
+    return {"full": n ** k, "tt": tt, "ht": ht}
+
+
+def test_bench_memory_csv_lists_generic_symmetric_counts(tmp_path):
+    out = tmp_path / "mem.csv"
+    assert run(["bench", "memory", "--n", "3", "--k-min", "4", "--k-max", "6",
+                "--scheme", "sym", "--seed", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 3
+    for scheme, n, k, name, params, *_ in rows:
+        assert scheme == "symmetric"
+        assert int(params) == generic_symmetric_counts(3, int(k))[name]
+
+
+def test_bench_time_csv_sym(tmp_path):
+    # timing_report raises when the representations disagree on the rank,
+    # so the symmetric forms are cross-checked end to end
+    out = tmp_path / "time.csv"
+    assert run(["bench", "time", "--n", "3", "--k-min", "4", "--k-max", "6",
+                "--scheme", "sym", "--m", "2", "--repeats", "1",
+                "--seed", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 3
+    for k in ("4", "5", "6"):
+        assert len({row[6] for row in rows if row[2] == k}) == 1
 
 
 def test_usage_errors_exit_1(tmp_path):

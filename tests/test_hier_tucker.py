@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -9,10 +10,10 @@ from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
-                                    build_tree, htd_contract, htd_decompose,
-                                    htd_param_count, htd_reconstruct,
-                                    htd_sweep)
-from hpdstensor.kernels import (RankTolerance, numerical_rank,
+                                    _climb, build_tree, htd_contract,
+                                    htd_decompose, htd_param_count,
+                                    htd_reconstruct, htd_sweep)
+from hpdstensor.kernels import (RankTolerance, left_basis,
                                 orthonormal_deviation)
 from hpdstensor.tensor_core import _keep_every_row
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
@@ -20,6 +21,8 @@ from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
 
 from test_sysid import balanced_tree_over, caterpillar_tree
 from test_tensor_train import dense_contraction_oracle, evaluate, random_tensor
+
+EPS = np.finfo(float).eps
 
 
 class TestBuildTree:
@@ -134,15 +137,19 @@ class TestDecompose:
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(case=decomposable())
     def test_node_rank_equals_unfolding_rank(self, case):
-        # ranks, round trip and nestedness on any shape and tree
+        # ranks, round trip and nestedness on any shape and tree; each leaf
+        # is decided on the core the earlier leaves left, at the threshold
+        # of its dense unfolding, which has the same singular values
         t, tree = case
         h = htd_decompose(t, tree=tree)
         for node, _ in tree.walk():
             if node is not tree.root:
-                assert h.rank_of(node.modes) == numerical_rank(
-                    tc.unfold(t, node.modes)), node.modes
+                a = tc.unfold(t, node.modes)
+                s = np.linalg.svd(a, compute_uv=False)
+                rank = int(np.sum(s > max(a.shape) * EPS * s[0]))
+                assert h.rank_of(node.modes) == rank, node.modes
         assert np.linalg.norm(htd_reconstruct(h) - t) <= \
-            1e-12 * np.linalg.norm(t)
+            1e-13 * np.linalg.norm(t)
         assert_nested(h, t)
 
     def test_nestedness_containment(self):
@@ -208,6 +215,41 @@ class TestDecompose:
         assert htd_param_count(htd_decompose(noisy)) > htd_param_count(h)
         assert np.linalg.norm(htd_reconstruct(h) - clean) <= \
             1e-8 * np.linalg.norm(clean)
+
+
+def all_leaves_first(t, tree, tol):
+    """The climb with every leaf taken from the dense tensor's own mode
+    unfolding before any projection: the leaf stage sequential truncation
+    replaced, the reference its ranks are held to."""
+    leaves = {p: left_basis(tc.unfold(t, (p,)), tol)
+              for p in range(1, t.ndim + 1)}
+    core = t
+    for p in range(1, t.ndim + 1):
+        core = np.tensordot(core, leaves[p], axes=(0, 0))
+    return HTucker(tree, t.shape, leaves, _climb(core, tree, t.shape, tol))
+
+
+class TestSequentialLeaves:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=decomposable(),
+           level=st.sampled_from((0.0, 1e-9, 1e-5, 1e-3)),
+           tau=st.sampled_from((1e-8, 1e-6, 1e-4, 1e-2, 1e-1)))
+    def test_truncation_error_and_ranks(self, case, level, tau):
+        # each of the 2k - 2 non-root nodes drops at most about tau ||A||;
+        # a leaf decided on the projected core never needs more rank than
+        # one decided on the dense tensor
+        t, tree = case
+        noise = np.random.default_rng(t.size).standard_normal(t.shape)
+        t = t + level * np.linalg.norm(t) / np.linalg.norm(noise) * noise
+        tol = RankTolerance(value=tau)
+        h = htd_decompose(t, tree=tree, tol=tol)
+        k = t.ndim
+        assert np.linalg.norm(htd_reconstruct(h) - t) <= \
+            math.sqrt(2 * k - 2) * tau * np.linalg.norm(t)
+        ref = all_leaves_first(t, tree, tol)
+        for node, _ in tree.walk():
+            assert h.rank_of(node.modes) <= ref.rank_of(node.modes), \
+                node.modes
 
 
 class TestTypedErrors:

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, NumericError, ShapeError
-from hpdstensor.kernels import (RankTolerance, compact_svd, numerical_rank,
-                                right_basis, subspace_equal)
+from hpdstensor.hier_tucker import htd_decompose
+from hpdstensor.kernels import (RankTolerance, compact_svd, left_basis,
+                                numerical_rank, right_basis, subspace_equal)
+from hpdstensor.tensor_train import tt_decompose
 
 
 class TestCompactSvd:
@@ -150,6 +153,49 @@ class TestRightBasis:
         assert v.shape == v_ref.shape == (cols, rank)
         assert np.allclose(v, v_ref, atol=1e-10)
         assert np.allclose(np.repeat(us, counts, axis=0), us_ref, atol=1e-10)
+
+
+def roundoff_direction(rows):
+    """A rows x 4 matrix with singular values 1, 0.5, 0.1 and 100 eps: the
+    last is dropped at the default threshold of the rows x 4 shape and
+    kept at that of the 4 x 4 triangular factor."""
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((rows, 4)))[0]
+    w = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    eps = np.finfo(float).eps
+    return q @ np.diag([1.0, 0.5, 0.1, 100 * eps]) @ w.T
+
+
+class TestShapeRelativeTolerance:
+    @pytest.mark.parametrize("tol", [None, RankTolerance()])
+    def test_bases_judge_at_the_matrix_shape(self, tol):
+        a = roundoff_direction(4000)
+        assert compact_svd(a, tol).rank == 3
+        assert right_basis(a, tol)[0].shape[1] == 3
+        assert left_basis(a.T, tol).shape[1] == 3
+
+    @pytest.mark.parametrize("source", ["roundoff", "symmetric", "low_tt",
+                                        "low_ht"])
+    def test_decompositions_are_bitwise_those_of_none(self, source):
+        if source == "roundoff":
+            # mode 6's unfolding, and so the train's first step and leaf 6,
+            # carry the 100 eps direction
+            t = roundoff_direction(4 ** 5).reshape((4,) * 6, order="F")
+        else:
+            t = gen_instance(source, 3, 6, rank_cap=2, seed=5).dense
+        for cores in zip(tt_decompose(t).cores,
+                         tt_decompose(t, RankTolerance()).cores):
+            assert cores[0].shape == cores[1].shape
+            assert cores[0].tobytes() == cores[1].tobytes()
+        want, got = htd_decompose(t), htd_decompose(t, tol=RankTolerance())
+        for p, u in want.leaf_factors.items():
+            assert u.shape == got.leaf_factors[p].shape
+            assert u.tobytes() == got.leaf_factors[p].tobytes()
+        for modes, g in want.transfer.items():
+            assert g.shape == got.transfer[modes].shape
+            assert g.tobytes() == got.transfer[modes].tobytes()
+        if source == "roundoff":
+            assert want.rank_of((6,)) == tt_decompose(t).ranks[-2] == 3
 
 
 class TestNumericalRank:
