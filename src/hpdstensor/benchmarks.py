@@ -2,12 +2,12 @@
 
 The three generation schemes mirror the numerical-experiment setup: fully
 symmetric dense tensors, tensors built from low-rank trains, and tensors
-built from low-rank trees.  A symmetric instance is decomposed from its
-distinct values, the others from their dense tensor.  Memory reports
-compare exact parameter counts;
-timing reports measure controllability-matrix construction per
-representation and refuse to record a run whose representations disagree on
-the reachable rank.
+built from low-rank trees.  A symmetric instance is drawn as its monomial
+coefficients, one value per index multiset, and every form of it is built
+from them; the others are decomposed from their dense tensor.  Memory
+reports compare exact parameter counts; timing reports measure
+controllability-matrix construction per representation and refuse to record
+a run whose representations disagree on the reachable rank.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import numpy as np
 
 from .analysis import controllability
 from .errors import ArgumentError, NumericError, ScaleError
-from .hier_tucker import (HTucker, _symmetric_tree, build_tree, htd_decompose,
-                          htd_reconstruct)
+from .hier_tucker import HTucker, build_tree, htd_reconstruct
 from .kernels import RankTolerance
 from .model import FORMATS
 from .randomness import generator
-from .tensor_core import _multiset_ranks, multiset_tables
-from .tensor_train import TensorTrain, _tt_svd, tt_decompose, tt_reconstruct
+from .tensor_core import multiset_tables
+from .tensor_train import TensorTrain, tt_reconstruct
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
            "memory_report", "timing_report"]
@@ -66,14 +65,19 @@ class Instance:
                 if dyn is not None}
 
 
-def _symmetric_dense(n: int, k: int, seed: int) -> np.ndarray:
-    """Fully symmetric tensor: one uniform value per index multiset.
+def _symmetric_coefficients(n: int, k: int, seed: int):
+    """The monomial coefficients of a fully symmetric tensor, one uniform
+    value per index multiset, and the :func:`multiset_tables` ``(n, k - 1)``
+    they are read with.
 
     Values are drawn in ``combinations_with_replacement(range(n), k)``
-    order, the order in which :func:`multiset_tables` ranks them.
+    order, the order in which :func:`multiset_tables` ranks them.  Column
+    m of the n x C(n+k-2, k-1) coefficients holds the values of the
+    k-multisets m + {i}, i = 0..n-1.
     """
     values = generator(seed).random(math.comb(n + k - 1, k)) * 2.0 - 1.0
-    return values[_multiset_ranks(multiset_tables(n, k)[1])].reshape((n,) * k)
+    members, grows, counts = multiset_tables(n, k)
+    return values[grows[k - 1]].T, (members[:k], grows[:k - 1], counts[:k])
 
 
 def _random_tt(n: int, k: int, rank_cap: int, seed: int) -> TensorTrain:
@@ -105,52 +109,36 @@ def _random_ht(n: int, k: int, rank_cap: int, seed: int) -> HTucker:
     return HTucker(tree, (n,) * k, leaf_factors, transfer)
 
 
-def _symmetric_forms(dense: np.ndarray) -> tuple[TensorTrain, HTucker]:
-    """The train and the balanced tree of a fully symmetric tensor, from its
-    n x C(n+k-2, k-1) monomial coefficients.
-
-    Column m of the coefficients is the fiber along mode k at the sorted
-    multi-index of the (k-1)-multiset m, one row of ``dense``'s C-order
-    reshape; only these n * C(n+k-2, k-1) entries are read.  They are
-    decomposed by the loops identification runs, on distinct rows weighted
-    by their counts, with every default threshold at the dense unfolding's
-    shape, so the ranks are those of :func:`tt_decompose` and
-    :func:`htd_decompose` on ``dense``.
-    """
-    n, k = dense.shape[0], dense.ndim
-    tables = multiset_tables(n, k - 1)
-    rows = tables[0][k - 1] @ n ** np.arange(k - 2, -1, -1)
-    coeffs = dense.reshape(-1, n)[rows].T
-    return (_tt_svd(coeffs.T, dense.shape, None, tables[1:]),
-            _symmetric_tree(coeffs, tables, build_tree(k), None))
-
-
 def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
                  seed: int = 0) -> Instance:
     """Generate one instance and decompose it into the other representations.
 
     The dense tensor is the interchange form, so the guard refuses sizes
     whose dense materialization exceeds the desk-scale limit.  Decomposed
-    ranks are measured from the dense tensor, not assumed from the caps: a
-    symmetric instance's by decomposing its distinct monomial coefficients
-    (:func:`_symmetric_forms`), which give the dense tensor's ranks, the
-    other schemes' by :func:`tt_decompose` and :func:`htd_decompose`.
+    ranks are measured, not assumed from the caps.  Every form is built
+    through :data:`model.FORMATS`: a symmetric instance's from its monomial
+    coefficients (``from_coefficients``), which give the dense tensor's
+    ranks, the other schemes' from their dense tensor (``from_dense``).
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if rank_cap < 1:
         raise ArgumentError("rank_cap must be >= 1")
+    if k < 2:
+        raise ArgumentError("model order k must be >= 2")
     if n ** k > DENSE_GUARD:
         raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
+    names = ("full", "tt", "ht")
     if scheme == "symmetric":
-        dense = _symmetric_dense(n, k, seed)
-        return Instance(scheme, n, k, seed, dense, *_symmetric_forms(dense))
-    if scheme == "low_tt":
-        dense = tt_reconstruct(_random_tt(n, k, rank_cap, seed))
+        coeffs, tables = _symmetric_coefficients(n, k, seed)
+        forms = [FORMATS[name].from_coefficients(coeffs, tables, None)
+                 for name in names]
     else:
-        dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))
-    return Instance(scheme, n, k, seed, dense,
-                    tt_decompose(dense), htd_decompose(dense))
+        dense = (tt_reconstruct(_random_tt(n, k, rank_cap, seed))
+                 if scheme == "low_tt" else
+                 htd_reconstruct(_random_ht(n, k, rank_cap, seed)))
+        forms = [FORMATS[name].from_dense(dense, None) for name in names]
+    return Instance(scheme, n, k, seed, *forms)
 
 
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,

@@ -6,7 +6,7 @@ divergence, 4 scale guard tripped.  Outputs are written atomically and,
 apart from wall-clock measurements requested explicitly, reruns of the
 same command produce byte-identical files.  Format names (``--repr``,
 ``decompose --method``) are keys of ``model.FORMATS``, which builds each
-format from a dense tensor, and of ``serialize.CODECS``, which stores it.
+format from a dense tensor here, and of ``serialize.CODECS``, which stores it.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ def cmd_bench(args) -> int:
     if not ks:
         raise ArgumentError("empty order range")
     ns = _int_list(args.n)
+    if not ns:
+        raise ArgumentError("empty --n list")
     if args.mode == "memory":
         if len(ns) != 1:
             raise ArgumentError("bench memory takes a single n")

@@ -187,9 +187,9 @@ class HTucker:
 
 
 def _node_tol(tol: RankTolerance | None, dims, modes) -> RankTolerance:
-    """``tol``, or the default threshold at the shape of the node's dense
-    unfolding when ``tol`` is relative to the shape (None or without a
-    value), so that the smaller projected matrix keeps the same ranks."""
+    """``tol``, or when it is None the default threshold at the shape of
+    the node's dense unfolding, so that the smaller projected matrix keeps
+    the same ranks."""
     rows = math.prod(dims[p - 1] for p in modes)
     return _tol_at(tol, (rows, math.prod(dims) // rows))
 
@@ -387,11 +387,10 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
 
     Without truncation the projections keep every singular value, so the
     hierarchical rank at a node is the numerical rank of its dense
-    unfolding: with ``tol`` None (or relative with no value) each node's
-    threshold, leaves included, is the default one at that unfolding's
-    shape, max(rows, n^k / rows) eps sigma_max.  A coarser ``tol``
-    truncates every node at that tolerance, each leaf on the core the
-    earlier leaves left.  No symmetry is assumed.
+    unfolding: with ``tol`` None each node's threshold, leaves included, is
+    the default one at that unfolding's shape, max(rows, n^k / rows) eps
+    sigma_max.  A coarser ``tol`` truncates every node at that tolerance,
+    each leaf on the core the earlier leaves left.  No symmetry is assumed.
     """
     tensor = np.asarray(tensor, dtype=float)
     k = tensor.ndim

@@ -1,11 +1,12 @@
 """Shared numerical linear algebra: compact SVD, rank, singular bases.
 
-Every rank decision in the package goes through :class:`RankTolerance` so the
-threshold is overridable in one place; :func:`_tol_at` states the default
-threshold at a shape: the matrix's own, or that of a larger matrix it stands
-in for.  The compact SVD fixes a deterministic sign convention
-(largest-magnitude entry of each left singular vector is positive), which
-makes identification and controllability outputs reproducible across runs.
+Every rank decision in the package goes through :class:`RankTolerance`, which
+always carries its value, so the threshold is overridable in one place; a
+tolerance of None asks for the default, which :func:`_tol_at` states at a
+shape: the matrix's own, or that of a larger matrix it stands in for.  The
+compact SVD fixes a deterministic sign convention (largest-magnitude entry of
+each left singular vector is positive), which makes identification and
+controllability outputs reproducible across runs.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class RankTolerance:
     """Threshold policy for discarding singular values.
 
     mode "relative" discards sigma <= value * sigma_max; mode "absolute"
-    discards sigma <= value, which it requires.  A relative value None means
-    the default factor max(rows, cols) * machine epsilon.
+    discards sigma <= value.  Both need a value: a tolerance of None, not a
+    RankTolerance, asks for the default threshold at the matrix's shape
+    (:func:`_tol_at`).
     """
 
     mode: str = "relative"
@@ -34,27 +36,25 @@ class RankTolerance:
     def __post_init__(self):
         if self.mode not in ("relative", "absolute"):
             raise ArgumentError(f"unknown tolerance mode {self.mode!r}")
-        if self.value is not None and not self.value > 0:
-            raise ArgumentError("tolerance value must be positive")
-        if self.mode == "absolute" and self.value is None:
-            raise ArgumentError("an absolute tolerance needs a value")
+        if self.value is None or not self.value > 0:
+            raise ArgumentError("a tolerance needs a positive value; None "
+                                "asks for the default")
 
-    def threshold(self, shape, sigma_max: float) -> float:
+    def threshold(self, sigma_max: float) -> float:
         if self.mode == "absolute":
             return float(self.value)
-        factor = self.value if self.value is not None else max(shape) * _EPS
-        return float(factor) * sigma_max
+        return float(self.value) * sigma_max
 
 
 def _tol_at(tol: RankTolerance | None, shape) -> RankTolerance:
-    """``tol``, or the default threshold at ``shape`` when ``tol`` is None
-    or a relative tolerance with no value.
+    """``tol``, or when it is None the default threshold at ``shape``,
+    max(shape) eps sigma_max.
 
     A smaller matrix that shares the singular values of one of ``shape``
     (a triangular factor, or distinct rows weighted by their counts) reaches
     that matrix's verdicts at this tolerance.
     """
-    if tol is None or tol.value is None:  # an absolute one has a value
+    if tol is None:
         return RankTolerance(value=max(shape) * _EPS)
     return tol
 
@@ -84,7 +84,7 @@ def compact_svd(matrix: np.ndarray, tol: RankTolerance | None = None) -> Compact
     if m == 0 or n == 0 or not np.any(matrix):
         return CompactSvd(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    thr = _tol_at(tol, matrix.shape).threshold(matrix.shape, s[0])
+    thr = _tol_at(tol, matrix.shape).threshold(s[0])
     r = int(np.count_nonzero(s > thr))
     u, s, v = u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
     _sign_rule(u, v)
@@ -111,8 +111,8 @@ def left_basis(matrix: np.ndarray,
 
     A wide matrix A (m < n columns) is R^T Q^T for the QR factorization of
     A^T, so it has the singular values and left singular vectors of the
-    m x m factor R^T; only that factor reaches the SVD.  A threshold
-    relative to the shape (``tol`` None or without a value) stays at A's.
+    m x m factor R^T; only that factor reaches the SVD.  The default
+    threshold (``tol`` None) stays at A's shape.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     m, n = matrix.shape
@@ -129,10 +129,10 @@ def right_basis(matrix: np.ndarray, tol: RankTolerance | None = None,
 
     A tall matrix A (m > n rows) is Q R, so it has the singular values and
     right singular vectors of the n x n factor R; only that factor reaches
-    the SVD, and U S is A V.  A threshold relative to the shape stays at
-    A's, as in :func:`left_basis`, and each column of A V has its
-    largest-magnitude entry positive, the sign rule of :func:`compact_svd`,
-    with V's columns flipped alongside.
+    the SVD, and U S is A V.  The default threshold stays at A's shape, as
+    in :func:`left_basis`, and each column of A V has its largest-magnitude
+    entry positive, the sign rule of :func:`compact_svd`, with V's columns
+    flipped alongside.
 
     With ``root``, V is that of diag(root) A, and the unweighted A V is
     returned, signed by the same rule.  When row i of A stands for root_i^2

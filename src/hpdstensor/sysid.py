@@ -13,15 +13,14 @@ beside its target, :func:`_qr_fit`, which gives both the design's singular
 values and a triangular solve for the coefficients, so no singular vectors
 are computed.
 
-Only the full result folds the n^k tensor.  The tensor train and the
-hierarchical Tucker tree are built from the n x M coefficients directly:
-every unfolding of an almost symmetric tensor repeats a row once per
-ordering of its symmetric modes, so each decomposition works on the
-distinct rows and columns, weighted by the square roots of their
-multiplicities, which have the dense unfolding's singular values and
-singular vectors.  The train is the TT-SVD loop of :func:`tt_decompose`
-given the multiset tables; the tree is built from one basis per kind of
-node (:func:`hier_tucker._symmetric_tree`).
+Every result is built from the n x M coefficients and their multiset
+tables by ``from_coefficients`` of :data:`model.FORMATS`, and only the full
+form gathers the n^k tensor.  Every unfolding of an almost symmetric
+tensor repeats a row once per ordering of its symmetric modes, so the
+train and the tree are decomposed on the distinct rows and columns,
+weighted by the square roots of their multiplicities, which have the dense
+unfolding's singular values and singular vectors.  An explicit tree for
+:func:`identify_ht` goes to :func:`hier_tucker._symmetric_tree` itself.
 """
 
 from __future__ import annotations
@@ -33,11 +32,10 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
-from .hier_tucker import DimensionTree, _symmetric_tree, build_tree
+from .hier_tucker import DimensionTree, _symmetric_tree
 from .kernels import RankTolerance, _tol_at, compact_svd
-from .model import HpdsModel, SampleSet
-from .tensor_core import _multiset_ranks, fold, multiset_tables
-from .tensor_train import _tt_svd
+from .model import FORMATS, HpdsModel, SampleSet
+from .tensor_core import multiset_tables
 
 __all__ = [
     "IdentifiabilityReport", "required_rank", "check_identifiability_autonomous",
@@ -88,16 +86,16 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _report(matrix: np.ndarray, shape: tuple[int, int], tol: RankTolerance,
+def _report(matrix: np.ndarray, tol: RankTolerance,
             required: int) -> IdentifiabilityReport:
-    """The rank report of a data matrix of ``shape`` whose singular values
-    ``matrix`` shares.
+    """The rank report of a data matrix whose singular values ``matrix``
+    shares.
 
-    Only the values are computed.  Those above ``tol``'s threshold at
-    ``shape`` count toward the rank, the cut :func:`compact_svd` makes.
+    Only the values are computed.  Those above ``tol``'s threshold count
+    toward the rank, the cut :func:`compact_svd` makes.
     """
     s = np.linalg.svd(matrix, compute_uv=False)
-    kept = s[s > tol.threshold(shape, s[0])] if s.size else s
+    kept = s[s > tol.threshold(s[0])] if s.size else s
     observed = kept.size
     margin = float(kept[-1]) if observed else 0.0
     condition = float(kept[0]) / margin if observed else math.inf
@@ -137,17 +135,14 @@ def _qr_fit(design: np.ndarray, target: np.ndarray | None, shape,
     The factor's leading block R11, rows x rows once T >= rows, is the
     triangular factor of design^T, so it has the design's singular values;
     the block R12 beside it is Q^T target^T.  The threshold is ``tol``'s;
-    without one, the default at ``shape``, the data matrix the design
-    stands in for.  A given relative tolerance with no value is judged at
-    the design's own shape, as :func:`compact_svd` of the design judges it.
-    Without ``target`` only the design is factored.
+    when it is None, the default at ``shape``, the data matrix the design
+    stands in for.  Without ``target`` only the design is factored.
     """
     stack = design.T if target is None else np.hstack([design.T, target.T])
     tri = np.linalg.qr(_finite(stack), mode="r")
     count = design.shape[0]
-    at = shape if tol is None else design.shape
-    return (_report(tri[:count, :count], design.shape, _tol_at(tol, at),
-                    required), tri)
+    return (_report(tri[:count, :count], _tol_at(tol, shape), required),
+            tri)
 
 
 def _qr_solve(tri: np.ndarray, count: int) -> np.ndarray:
@@ -210,6 +205,15 @@ def _recover_coefficients(samples: SampleSet, k: int,
     return coeffs, tol, tables
 
 
+def _identify(samples: SampleSet, k: int, tol: RankTolerance | None,
+              name: str) -> HpdsModel:
+    """The :data:`FORMATS` ``name`` form of the recovered coefficients, at
+    the recovery's conversion tolerance."""
+    coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
+    return HpdsModel(k, samples.X0.shape[0], FORMATS[name].from_coefficients(
+        coeffs, tables, conversion))
+
+
 def identify_full(samples: SampleSet, k: int,
                   tol: RankTolerance | None = None) -> HpdsModel:
     """Recover the dense dynamic tensor from exact autonomous data.
@@ -217,46 +221,28 @@ def identify_full(samples: SampleSet, k: int,
     The recovered tensor is almost symmetric by construction: permuted
     multi-indices of modes 1..k-1 read the same monomial coefficient.
     """
-    coeffs, _, (_, grows, _) = _recover_coefficients(samples, k, tol)
-    n = samples.X0.shape[0]
-    return HpdsModel(k, n, fold(coeffs[:, _multiset_ranks(grows)], {k},
-                                [n] * k))
+    return _identify(samples, k, tol, "full")
 
 
 def identify_tt(samples: SampleSet, k: int,
                 tol: RankTolerance | None = None) -> HpdsModel:
-    """Recover the dynamics in tensor-train form.
-
-    The TT-SVD of the :func:`identify_full` tensor at the recovery's
-    conversion tolerance, peeling mode k first so the factor ordering
-    matches the train-based evaluation formula: the loop of
-    :func:`tt_decompose`, run on the monomial coefficients.  The n^k tensor
-    is never formed; every step's matrix has one row per multiset of the
-    modes not yet peeled, weighted by the square root of its count.
-    """
-    coeffs, conversion, (_, grows, counts) = _recover_coefficients(
-        samples, k, tol)
-    n = samples.X0.shape[0]
-    return HpdsModel(k, n, _tt_svd(coeffs.T, (n,) * k, conversion,
-                                   (grows, counts)))
+    """Recover the dynamics in tensor-train form: the TT-SVD of the
+    :func:`identify_full` tensor at the recovery's conversion tolerance, run
+    on the monomial coefficients, one row per multiset of the modes not yet
+    peeled, without the n^k tensor."""
+    return _identify(samples, k, tol, "tt")
 
 
 def identify_ht(samples: SampleSet, k: int,
                 tree: DimensionTree | None = None,
                 tol: RankTolerance | None = None) -> HpdsModel:
-    """Recover the dynamics in hierarchical Tucker form.
-
-    Built from the monomial coefficients without the n^k tensor, at the
-    recovery's conversion tolerance: each node's basis is the left singular
-    basis of its unfolding's distinct rows and columns, one per kind of
-    node, so the leaf factors of the almost symmetric modes 1..k-1 are one
-    shared array.  The node ranks are the numerical ranks of the dense
-    unfoldings, as :func:`htd_decompose` has them; each transfer projects
-    the node's basis onto its children's.  The tree (default balanced) is
-    checked before any data is factored.
-    """
+    """Recover the dynamics in hierarchical Tucker form, built from the
+    monomial coefficients without the n^k tensor at the recovery's
+    conversion tolerance, one basis per kind of node, with the ranks of the
+    dense unfoldings.  The tree (default balanced) is checked before any
+    data is factored."""
     if tree is None:
-        tree = build_tree(k)
+        return _identify(samples, k, tol, "ht")
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != k={k}")
     coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
@@ -327,10 +313,10 @@ def _io_fit(samples: SampleSet, k: int, n: int | None,
         raise IdentifiabilityError(report)
     coeffs = _qr_solve(tri, design.shape[0])
     count = root.size
-    ak = (coeffs[:, :count] / (samples.tau * root))[
-        :, _multiset_ranks(tables[1])]
-    return report, HpdsModel(k, n, fold(ak, {k}, [n] * k),
-                             B=coeffs[:, count:], C=c_est), x0
+    dynamics = FORMATS["full"].from_coefficients(
+        coeffs[:, :count] / (samples.tau * root), tables, tol)
+    return report, HpdsModel(k, n, dynamics, B=coeffs[:, count:],
+                             C=c_est), x0
 
 
 def check_identifiability_io(samples: SampleSet, k: int,

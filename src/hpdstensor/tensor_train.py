@@ -39,11 +39,11 @@ class TensorTrain:
             raise ArgumentError("a tensor train needs at least one core")
         object.__setattr__(self, "cores", tuple(np.asarray(c, dtype=float)
                                                 for c in self.cores))
+        if any(core.ndim != 3 for core in self.cores):
+            raise ShapeError("cores must be order-3 arrays")
         if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
             raise ShapeError("boundary ranks r_0 and r_k must be 1")
         for left, right in zip(self.cores, self.cores[1:]):
-            if left.ndim != 3 or right.ndim != 3:
-                raise ShapeError("cores must be order-3 arrays")
             if left.shape[2] != right.shape[0]:
                 raise ShapeError(
                     f"rank chain broken: {left.shape} -> {right.shape}")
@@ -82,11 +82,10 @@ def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
     (:func:`kernels.right_basis`), and the next step's row for the
     (p-2)-multiset s and column (j, alpha) is row grows[p-2][s, j] of A V.
 
-    A threshold relative to the shape (``tol`` None or without a value) is
-    resolved at step p's dense matrix, (n_1 ... n_{p-1}) x (n_p r_p), which
-    is the shape of ``rows`` when no tables are given; any other ``tol``
-    is used as it is.  So ranks and cores are those of the dense TT-SVD at
-    ``tol``.
+    The default threshold (``tol`` None) is resolved at step p's dense
+    matrix, (n_1 ... n_{p-1}) x (n_p r_p), which is the shape of ``rows``
+    when no tables are given; a given ``tol`` is used as it is.  So ranks
+    and cores are those of the dense TT-SVD at ``tol``.
     """
     k = len(dims)
     cores: list[np.ndarray] = [None] * k

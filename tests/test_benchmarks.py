@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdstensor import benchmarks
-from hpdstensor.benchmarks import (SCHEMES, _symmetric_dense, gen_instance,
-                                   memory_report, timing_report)
+from hpdstensor.benchmarks import (SCHEMES, gen_instance, memory_report,
+                                   timing_report)
 from hpdstensor.errors import ArgumentError, ScaleError
 from hpdstensor.hier_tucker import (htd_decompose, htd_param_count,
                                     htd_reconstruct)
@@ -36,7 +36,7 @@ class TestGenInstance:
     def test_symmetric_dense_matches_the_loop_bitwise(self, n, k):
         for seed in (0, 11):
             want = symmetric_dense_loop(n, k, seed)
-            got = _symmetric_dense(n, k, seed)
+            got = gen_instance("symmetric", n, k, seed=seed).dense
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -97,6 +97,11 @@ class TestGenInstance:
     def test_unknown_scheme(self):
         with pytest.raises(ArgumentError):
             gen_instance("dense", 2, 3)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_order_below_two_is_refused(self, scheme):
+        with pytest.raises(ArgumentError):
+            gen_instance(scheme, 3, 1)
 
 
 def count_factored(monkeypatch):

@@ -273,6 +273,27 @@ def test_bench_time_csv_sym(tmp_path):
         assert len({row[6] for row in rows if row[2] == k}) == 1
 
 
+def test_train_with_a_bad_core_order_exits_1(tmp_path, capsys):
+    # an order-2 last core is refused as a shape error, not an IndexError
+    core = serialize.tensor_to_obj(np.ones((1, 2, 2)))
+    path = tmp_path / "bad.json"
+    serialize.write_json_file(str(path), {
+        "k": 2, "n": 2, "repr": "tt", "B": serialize.matrix_to_obj(np.eye(2)),
+        "C": None, "A": {"cores": [core, serialize.tensor_to_obj(
+            np.ones((2, 2)))]}})
+    assert run(["analyze", "controllability", "--model", str(path),
+                "--out", str(tmp_path / "con.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", ["memory", "time"])
+def test_bench_empty_n_list_exits_1(tmp_path, mode):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", mode, "--n", ",", "--k-min", "3", "--k-max", "3",
+                "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert run(["identify", "--data", "missing.csv", "--order", "3",
                 "--out", str(tmp_path / "x.json")]) == 1

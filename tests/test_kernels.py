@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, NumericError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
 from hpdstensor.kernels import (RankTolerance, compact_svd, left_basis,
@@ -108,6 +107,13 @@ class TestCompactSvd:
         with pytest.raises(ArgumentError):
             RankTolerance("absolute")
 
+    def test_relative_tolerance_needs_a_value(self):
+        # None, not a value-less tolerance, asks for the default
+        with pytest.raises(ArgumentError):
+            RankTolerance("relative")
+        with pytest.raises(ArgumentError):
+            RankTolerance()
+
 
 class TestRightBasis:
     @pytest.mark.parametrize("shape,rank", [((40, 6), 6), ((40, 6), 3),
@@ -167,35 +173,18 @@ def roundoff_direction(rows):
 
 
 class TestShapeRelativeTolerance:
-    @pytest.mark.parametrize("tol", [None, RankTolerance()])
-    def test_bases_judge_at_the_matrix_shape(self, tol):
+    def test_bases_judge_at_the_matrix_shape(self):
         a = roundoff_direction(4000)
-        assert compact_svd(a, tol).rank == 3
-        assert right_basis(a, tol)[0].shape[1] == 3
-        assert left_basis(a.T, tol).shape[1] == 3
+        assert compact_svd(a).rank == 3
+        assert right_basis(a)[0].shape[1] == 3
+        assert left_basis(a.T).shape[1] == 3
 
-    @pytest.mark.parametrize("source", ["roundoff", "symmetric", "low_tt",
-                                        "low_ht"])
-    def test_decompositions_are_bitwise_those_of_none(self, source):
-        if source == "roundoff":
-            # mode 6's unfolding, and so the train's first step and leaf 6,
-            # carry the 100 eps direction
-            t = roundoff_direction(4 ** 5).reshape((4,) * 6, order="F")
-        else:
-            t = gen_instance(source, 3, 6, rank_cap=2, seed=5).dense
-        for cores in zip(tt_decompose(t).cores,
-                         tt_decompose(t, RankTolerance()).cores):
-            assert cores[0].shape == cores[1].shape
-            assert cores[0].tobytes() == cores[1].tobytes()
-        want, got = htd_decompose(t), htd_decompose(t, tol=RankTolerance())
-        for p, u in want.leaf_factors.items():
-            assert u.shape == got.leaf_factors[p].shape
-            assert u.tobytes() == got.leaf_factors[p].tobytes()
-        for modes, g in want.transfer.items():
-            assert g.shape == got.transfer[modes].shape
-            assert g.tobytes() == got.transfer[modes].tobytes()
-        if source == "roundoff":
-            assert want.rank_of((6,)) == tt_decompose(t).ranks[-2] == 3
+    def test_decompositions_judge_at_the_unfolding_shape(self):
+        # mode 6's unfolding, and so the train's first step and leaf 6,
+        # carry the 100 eps direction, dropped at the 4 x 4^5 shape
+        t = roundoff_direction(4 ** 5).reshape((4,) * 6, order="F")
+        assert htd_decompose(t).rank_of((6,)) == \
+            tt_decompose(t).ranks[-2] == 3
 
 
 class TestNumericalRank:

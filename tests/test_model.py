@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,13 @@ from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.errors import ArgumentError, DivergenceError, ShapeError
-from hpdstensor.hier_tucker import HTucker, htd_decompose
+from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
 from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
                               eval_derivative, simulate_continuous,
                               simulate_discrete)
-from hpdstensor.tensor_train import TensorTrain, tt_decompose
+from hpdstensor.sysid import (identify_full, identify_ht, identify_tt,
+                              required_rank)
+from hpdstensor.tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 
 def linear_model(a_matrix):
@@ -378,3 +381,58 @@ class TestSampleSet:
     def test_tau_positive(self):
         with pytest.raises(ArgumentError):
             SampleSet(tau=0.0, X0=np.zeros((2, 2)))
+
+
+class TestFromCoefficients:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 5), k=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 16))
+    def test_forms_are_those_of_the_folded_tensor(self, n, k, seed):
+        if n ** k > 20_000:
+            n = 2
+        tables = tc.multiset_tables(n, k - 1)
+        coeffs = np.random.default_rng(seed).standard_normal(
+            (n, tables[2][k - 1].size))
+        dense = FORMATS["full"].from_coefficients(coeffs, tables, None)
+        want = tc.fold(coeffs[:, tc._multiset_ranks(tables[1])], {k},
+                       [n] * k)
+        assert dense.shape == want.shape and dense.flags.c_contiguous
+        assert dense.tobytes() == np.ascontiguousarray(want).tobytes()
+        # decomposed from the coefficients at the dense unfoldings'
+        # thresholds: the ranks of the dense decompositions
+        train = FORMATS["tt"].from_coefficients(coeffs, tables, None)
+        assert train.ranks == FORMATS["tt"].from_dense(dense, None).ranks
+        tree = FORMATS["ht"].from_coefficients(coeffs, tables, None)
+        dense_tree = FORMATS["ht"].from_dense(dense, None)
+        for node, _ in tree.tree.walk():
+            assert tree.rank_of(node.modes) == \
+                dense_tree.rank_of(node.modes), node.modes
+        norm = np.linalg.norm(dense)
+        assert np.linalg.norm(tt_reconstruct(train) - dense) <= 1e-13 * norm
+        assert np.linalg.norm(htd_reconstruct(tree) - dense) <= 1e-13 * norm
+
+    def test_producers_take_no_dense_route(self, monkeypatch):
+        # symmetric generation and autonomous identification build every
+        # form from the coefficients: no dense decomposition and no fold,
+        # under whatever module name they are reached
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for module in [m for key, m in sys.modules.items()
+                       if key.split(".")[0] == "hpdstensor"]:
+            for name in ("tt_decompose", "htd_decompose", "fold"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        n, k = 3, 4
+        inst = gen_instance("symmetric", n, k, seed=2)
+        truth = HpdsModel(k, n, inst.dense)
+        x0 = np.random.default_rng(2).standard_normal(
+            (n, 2 * required_rank(n, k)))
+        x1 = np.column_stack([eval_derivative(truth, x) for x in x0.T])
+        samples = SampleSet(tau=0.1, X0=x0, X1=x1)
+        norm = np.linalg.norm(inst.dense)
+        for identify, rebuild in ((identify_full, np.asarray),
+                                  (identify_tt, tt_reconstruct),
+                                  (identify_ht, htd_reconstruct)):
+            got = rebuild(identify(samples, k).dynamics)
+            assert np.linalg.norm(got - inst.dense) <= 1e-10 * norm

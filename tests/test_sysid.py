@@ -95,8 +95,7 @@ class TestIdentifiabilityAutonomous:
            seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-4, 1.0,
                                                                  1e3]),
            data=st.sampled_from(["generic", "duplicated", "zero"]),
-           tol=st.sampled_from([None, RankTolerance(),
-                                RankTolerance("absolute", 1e-9),
+           tol=st.sampled_from([None, RankTolerance("absolute", 1e-9),
                                 RankTolerance("absolute", 1.0)]))
     def test_report_matches_the_svd_of_the_monomials(
             self, n, k, extra, seed, scale, data, tol):
@@ -137,8 +136,7 @@ class TestIdentifiabilityAutonomous:
         else:
             assert report.margin == 0.0 and report.condition == math.inf
 
-    @pytest.mark.parametrize("tol", [None, RankTolerance()])
-    def test_threshold_stays_at_the_data_shape(self, tol):
+    def test_threshold_stays_at_the_data_shape(self):
         # sigma_2 / sigma_1 = 3e-14 is dropped at the 2 x 1000 threshold
         # (2.2e-13) and would be kept at the 2 x 2 one (4.4e-16) of the
         # triangular factor
@@ -146,7 +144,7 @@ class TestIdentifiabilityAutonomous:
         q = np.linalg.qr(rng.standard_normal((1000, 2)))[0]
         x0 = (q @ np.diag([1.0, 3e-14])).T
         report = check_identifiability_autonomous(SampleSet(tau=0.1, X0=x0),
-                                                  2, tol)
+                                                  2)
         assert report.observed_rank == 1 and not report.satisfied
 
     def test_too_few_samples_reports_not_raises(self):
@@ -651,8 +649,7 @@ class TestIdentifiabilityIo:
     @given(n=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(0, 2),
            extra=st.integers(-3, 4), seed=st.integers(0, 2 ** 16),
            data=st.sampled_from(["generic", "duplicated", "zero_inputs"]),
-           tol=st.sampled_from([None, RankTolerance(),
-                                RankTolerance("absolute", 1e-9)]))
+           tol=st.sampled_from([None, RankTolerance("absolute", 1e-9)]))
     def test_report_matches_the_svd_of_the_stack(self, n, k, m, extra, seed,
                                                  data, tol):
         # T - 1 = M + m + extra regression samples, below M + m for extra < 0

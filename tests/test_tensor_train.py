@@ -109,6 +109,11 @@ class TestDecompose:
         with pytest.raises(ShapeError):
             TensorTrain((np.zeros((2, 2, 1)),))
 
+    @pytest.mark.parametrize("cores", [((1, 2, 2), (2, 2)), ((1, 2),)])
+    def test_core_order_checked_before_the_ranks(self, cores):
+        with pytest.raises(ShapeError):
+            TensorTrain(tuple(np.ones(shape) for shape in cores))
+
 
 def separate_tt_decompose(source, tol=None):
     """The dense TT-SVD as its own loop, before it was shared with
