@@ -4,10 +4,12 @@ The three generation schemes mirror the numerical-experiment setup: fully
 symmetric dense tensors, tensors built from low-rank trains, and tensors
 built from low-rank trees.  A symmetric instance is drawn as its monomial
 coefficients, one value per index multiset, and every form of it is built
-from them; the others are decomposed from their dense tensor.  Memory
-reports compare exact parameter counts; timing reports measure
-controllability-matrix construction per representation and refuse to record
-a run whose representations disagree on the reachable rank.
+from them; a low-rank train is drawn as its cores, and every form of it is
+built from them, so it never decomposes its dense tensor; a low-rank tree
+is decomposed from its dense tensor.  Memory reports compare exact
+parameter counts; timing reports measure controllability-matrix
+construction per representation and refuse to record a run whose
+representations disagree on the reachable rank.
 """
 
 from __future__ import annotations
@@ -25,13 +27,18 @@ from .kernels import RankTolerance
 from .model import FORMATS
 from .randomness import generator
 from .tensor_core import multiset_tables
-from .tensor_train import TensorTrain, tt_reconstruct
+from .tensor_train import TensorTrain
 
 __all__ = ["SCHEMES", "BenchRecord", "Instance", "gen_instance",
            "memory_report", "timing_report"]
 
 SCHEMES = ("symmetric", "low_tt", "low_ht")
 DENSE_GUARD = 10_000_000
+# A train is rounded and converted on its cores, but each default threshold
+# is stated at a dense unfolding, max(shape) eps sigma_max, and the largest
+# has n^(k-1) rows.  Up to n^(k-1) = eps^(-1/2) = 2^26 that stays at most
+# sqrt(eps) sigma_max, roundoff; beyond it it cuts the train's real rank.
+TRAIN_GUARD = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,17 @@ def _random_ht(n: int, k: int, rank_cap: int, seed: int) -> HTucker:
 
 def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
                  seed: int = 0) -> Instance:
-    """Generate one instance and decompose it into the other representations.
+    """Generate one instance in every representation.
 
-    The dense tensor is the interchange form, so the guard refuses sizes
-    whose dense materialization exceeds the desk-scale limit.  Decomposed
-    ranks are measured, not assumed from the caps.  Every form is built
-    through :data:`model.FORMATS`: a symmetric instance's from its monomial
-    coefficients (``from_coefficients``), which give the dense tensor's
-    ranks, the other schemes' from their dense tensor (``from_dense``).
+    Every form is built through :data:`model.FORMATS`, with the dense
+    tensor's ranks, measured, not assumed from the caps: a symmetric
+    instance's from its monomial coefficients (``from_coefficients``), a
+    low_tt instance's from its train (``from_train``: rounded, converted to
+    the balanced tree, and contracted for the full form only), a low_ht
+    instance's from its dense tensor (``from_dense``).  Sizes whose dense
+    tensor exceeds the desk-scale limit are refused, except for low_tt,
+    which then has no full form, up to the size where the default
+    thresholds of its largest unfoldings leave roundoff.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -126,19 +136,26 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
         raise ArgumentError("rank_cap must be >= 1")
     if k < 2:
         raise ArgumentError("model order k must be >= 2")
-    if n ** k > DENSE_GUARD:
-        raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
     names = ("full", "tt", "ht")
+    if n ** k > DENSE_GUARD:
+        if scheme != "low_tt":
+            raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
+        if n ** (k - 1) > TRAIN_GUARD:
+            raise ScaleError(f"default thresholds at n^(k-1) = {n ** (k - 1)}"
+                             " rows are past roundoff")
+        names = ("tt", "ht")
     if scheme == "symmetric":
         coeffs, tables = _symmetric_coefficients(n, k, seed)
-        forms = [FORMATS[name].from_coefficients(coeffs, tables, None)
-                 for name in names]
+        build = lambda fmt: fmt.from_coefficients(coeffs, tables, None)
+    elif scheme == "low_tt":
+        train = _random_tt(n, k, rank_cap, seed)
+        build = lambda fmt: fmt.from_train(train)
     else:
-        dense = (tt_reconstruct(_random_tt(n, k, rank_cap, seed))
-                 if scheme == "low_tt" else
-                 htd_reconstruct(_random_ht(n, k, rank_cap, seed)))
-        forms = [FORMATS[name].from_dense(dense, None) for name in names]
-    return Instance(scheme, n, k, seed, *forms)
+        dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))
+        build = lambda fmt: fmt.from_dense(dense, None)
+    forms = {name: build(FORMATS[name]) for name in names}
+    return Instance(scheme, n, k, seed, forms.get("full"), forms["tt"],
+                    forms["ht"])
 
 
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,
@@ -161,8 +178,9 @@ def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,
 
 
 def _generate_for_timing(scheme, n, k, rank_cap, seed) -> Instance:
-    """Instance for timing; beyond the dense guard only the directly
-    generated representation is available (the full path is recorded absent)."""
+    """Instance for timing; beyond the dense guard a low_ht instance has its
+    tree only, and beyond the train guard a low_tt instance its drawn train
+    only (the other paths are recorded absent)."""
     try:
         return gen_instance(scheme, n, k, rank_cap, seed)
     except ScaleError:

@@ -20,9 +20,10 @@ of the core the earlier leaves left, so that only the first reads all n^k
 entries, then one SVD per internal node of a matrix with r_left * r_right
 rows.  An almost symmetric tensor given by its monomial coefficients is
 decomposed on distinct rows instead, one basis per kind of node
-(:func:`_symmetric_tree`).  With no tolerance given, each node's threshold
-is the default one at the shape of its dense unfolding, so every node rank
-is that unfolding's numerical rank.
+(:func:`_symmetric_tree`), and a tensor train on its gauged cores
+(:func:`_train_tree`).  With no tolerance given, each node's threshold is
+the default one at the shape of its dense unfolding, so every node rank is
+that unfolding's numerical rank.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import ArgumentError, ShapeError
 from .kernels import (RankTolerance, _sign_rule, _tol_at, compact_svd,
                       left_basis)
 from .tensor_core import _keep_every_row, _require_cubical, _sweep_matrices
+from .tensor_train import _left_orthogonalize
 
 __all__ = [
     "TreeNode", "DimensionTree", "build_tree", "HTucker", "htd_decompose",
@@ -226,6 +228,72 @@ def _climb(core: np.ndarray, tree: DimensionTree, dims,
         axes[i:i + 2] = [node.modes]
         transfer[node.modes] = g
     return transfer
+
+
+def _train_tree(train) -> HTucker:
+    """The tree of :func:`build_tree` of the tensor a train represents,
+    without forming that tensor.
+
+    Every node of the balanced tree is a mode interval a..b, and its dense
+    unfolding is L S R: L the product of cores 1..a-1, S the segment of
+    cores a..b, R that of cores b+1..k.  One QR pass from the left gives
+    L = Q_L G_L for every prefix (:func:`tensor_train._left_orthogonalize`),
+    one from the right R = G_R Q_R for every suffix, with orthonormal Q_L
+    and Q_R, so the unfolding has the singular values and left singular
+    vectors of G_L S G_R.  Leaf p is the left
+    singular basis of that matrix, unfolded n x (rho rho'), and passes up
+    its projected segment U_p^T core_p.  An internal node contracts its
+    children's projected segments over their shared train rank; its
+    transfer is the left singular basis of that contraction gauged on both
+    sides, with the (r_left * r_right) children's ranks as rows, the left
+    child's fastest (the hierarchical SVD of Grasedyck, SIAM J. Matrix
+    Anal. Appl. 2010), and it projects the contraction in turn.  The root's
+    transfer is the contraction itself.  Each threshold is the default one
+    at the node's dense unfolding (:func:`_node_tol`), so node ranks are
+    :func:`htd_decompose`'s, and no matrix has more than n r^2 or
+    r_left r_right r^2 entries for the largest train rank r.
+    """
+    dims, k = train.dims, train.order
+    tree = build_tree(k)
+    # left[p]: G_L of cores 1..p; right[p]: G_R of cores p+1..k
+    _, left = _left_orthogonalize(train.cores[:-1])
+    right = [np.ones((1, 1))] * (k + 1)
+    for p in range(k, 1, -1):
+        core = train.cores[p - 1]
+        gauged = core.reshape(-1, core.shape[2]) @ right[p]
+        right[p - 1] = np.linalg.qr(gauged.reshape(core.shape[0], -1).T,
+                                    mode="r").T
+    segments, leaf_factors, transfer = {}, {}, {}
+    for leaf in tree.leaves():
+        p = leaf.modes[0]
+        core = train.cores[p - 1]
+        gauged = (left[p - 1] @ core.reshape(core.shape[0], -1)).reshape(
+            -1, core.shape[2]) @ right[p]
+        gauged = gauged.reshape(left[p - 1].shape[0], dims[p - 1], -1)
+        u = leaf_factors[p] = left_basis(
+            gauged.transpose(1, 0, 2).reshape(dims[p - 1], -1),
+            _node_tol(None, dims, leaf.modes))
+        segments[leaf.modes] = u.T @ core  # (alpha, u, beta)
+    for node in sorted(tree.internal_nodes(), key=lambda t: len(t.modes)):
+        y_l, y_r = segments[node.left.modes], segments[node.right.modes]
+        (alpha, r_l, mid), (_, r_r, beta) = y_l.shape, y_r.shape
+        # (alpha, u_right, u_left, beta): the left child's rank fastest;
+        # explicit sizes, as a -1 is ambiguous once a rank is 0
+        met = (y_l.reshape(alpha * r_l, mid) @ y_r.reshape(mid, r_r * beta))
+        met = met.reshape(alpha, r_l, r_r, beta).transpose(0, 2, 1, 3)
+        met = met.reshape(alpha, r_r * r_l, beta)
+        g_left, g_right = left[node.modes[0] - 1], right[node.modes[-1]]
+        gauged = (g_left @ met.reshape(alpha, r_r * r_l * beta)).reshape(
+            g_left.shape[0], r_r * r_l, beta) @ g_right
+        merged = gauged.transpose(1, 0, 2).reshape(
+            r_r * r_l, g_left.shape[0] * g_right.shape[1])
+        if node is tree.root:
+            transfer[node.modes] = merged
+            break
+        g = transfer[node.modes] = left_basis(
+            merged, _node_tol(None, dims, node.modes))
+        segments[node.modes] = g.T @ met
+    return HTucker(tree, dims, leaf_factors, transfer)
 
 
 def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,

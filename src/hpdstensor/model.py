@@ -4,9 +4,10 @@ A model is ``dx/dt = A x^{k-1} + B u`` with outputs ``y = C x``; the dynamic
 tensor A may live in full, tensor-train, or hierarchical Tucker form.
 :data:`FORMATS` is the one place that knows the three forms: per format name
 it gives the dims, the contraction kernel, the evaluator that simulation
-steps on, parameter count, maximal rank, and the two constructors: from a
-dense tensor, and from an almost symmetric tensor's monomial coefficients,
-which symmetric generation and identification use.
+steps on, parameter count, maximal rank, and the three constructors: from a
+dense tensor; from an almost symmetric tensor's monomial coefficients,
+which symmetric generation and identification use; and from a tensor
+train, which low-rank train generation uses.
 :func:`format_of` names the format of a dynamics object.  Sampled
 trajectories are held in :class:`SampleSet` matrices matching the data
 layout used by the identification routines.  A simulation prepares its
@@ -22,15 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, DivergenceError, ShapeError
-from .hier_tucker import (HTucker, _symmetric_tree, build_tree,
+from .hier_tucker import (HTucker, _symmetric_tree, _train_tree, build_tree,
                           htd_decompose, htd_evaluator, htd_param_count,
                           htd_sweep)
 from .kernels import numerical_rank
 from .randomness import gaussian
 from .tensor_core import (_multiset_ranks, hpds_evaluator, sweep_leading,
                           unfold)
-from .tensor_train import (TensorTrain, _tt_svd, tt_decompose, tt_evaluator,
-                           tt_param_count, tt_sweep)
+from .tensor_train import (TensorTrain, _tt_round, _tt_svd, tt_decompose,
+                           tt_evaluator, tt_param_count, tt_reconstruct,
+                           tt_sweep)
 
 __all__ = ["Format", "FORMATS", "format_of", "HpdsModel", "SampleSet",
            "eval_derivative", "simulate_continuous", "simulate_discrete",
@@ -52,12 +54,17 @@ class Format:
     the map ``x -> A x^[k-1]`` on float n-vectors, which checks nothing and
     is what simulation steps on.  ``param_count`` is the number of stored
     entries, ``max_rank`` the largest rank of the format (the k-mode
-    unfolding rank of a dense tensor), ``from_dense(tensor, tol)`` builds
-    the format from a dense tensor, and ``from_coefficients(coeffs, tables,
-    tol)`` from the almost symmetric one whose k-mode unfolding has column
-    coeffs[:, m] wherever modes 1..k-1 read the multiset m, ``tables``
-    being :func:`multiset_tables` (n, k - 1): the n^k entries are gathered
-    for the full form only, and a None ``tol`` gives ``from_dense``'s ranks.
+    unfolding rank of a dense tensor).  Three constructors build the
+    format: ``from_dense(tensor, tol)`` from a dense tensor;
+    ``from_coefficients(coeffs, tables, tol)`` from the almost symmetric
+    one whose k-mode unfolding has column coeffs[:, m] wherever modes
+    1..k-1 read the multiset m, ``tables`` being :func:`multiset_tables`
+    (n, k - 1); and ``from_train(train)`` from the tensor a
+    :class:`TensorTrain` represents, by TT-rounding for tt and an exact
+    conversion to the balanced tree for ht.  The last two form the n^k
+    entries for the full form only.  ``from_train``, and
+    ``from_coefficients`` with a None ``tol``, give the ranks of
+    ``from_dense`` with a None ``tol``.
     """
 
     cast: Callable
@@ -68,6 +75,7 @@ class Format:
     max_rank: Callable
     from_dense: Callable
     from_coefficients: Callable
+    from_train: Callable
 
 
 # sweep and the constructors look the kernels up at call time, so a wrapper
@@ -81,7 +89,8 @@ FORMATS = {
         max_rank=lambda t: numerical_rank(unfold(t, {t.ndim})),
         from_dense=lambda t, tol: np.asarray(t, dtype=float),
         from_coefficients=lambda c, tables, tol: c.T[
-            _multiset_ranks(tables[1])].reshape((len(c),) * len(tables[0]))),
+            _multiset_ranks(tables[1])].reshape((len(c),) * len(tables[0])),
+        from_train=lambda d: tt_reconstruct(d)),
     "tt": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
         sweep=lambda d, mats, merge: tt_sweep(d, mats, merge),
@@ -89,7 +98,8 @@ FORMATS = {
         max_rank=lambda d: max(d.ranks),
         from_dense=lambda t, tol: tt_decompose(t, tol=tol),
         from_coefficients=lambda c, tables, tol: _tt_svd(
-            c.T, (len(c),) * len(tables[0]), tol, tables[1:])),
+            c.T, (len(c),) * len(tables[0]), tol, tables[1:]),
+        from_train=lambda d: _tt_round(d)),
     "ht": Format(
         cast=lambda d: d, dims=lambda d: d.dims,
         sweep=lambda d, mats, merge: htd_sweep(d, mats, merge),
@@ -97,7 +107,8 @@ FORMATS = {
         max_rank=lambda d: d.max_rank(),
         from_dense=lambda t, tol: htd_decompose(t, tol=tol),
         from_coefficients=lambda c, tables, tol: _symmetric_tree(
-            c, tables, build_tree(len(tables[0])), tol)),
+            c, tables, build_tree(len(tables[0])), tol),
+        from_train=lambda d: _train_tree(d)),
 }
 
 

@@ -8,7 +8,8 @@ represented tensor is the chained product of core slices
 
 Construction peels modes from mode k backwards with sequential compact SVDs,
 so the cores come out in the paper ordering of the homogeneous-polynomial
-evaluation formula: the output mode k is separated first.
+evaluation formula: the output mode k is separated first.  A given train is
+brought to those ranks by TT-rounding, on its cores alone.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def tt_zero(dims) -> TensorTrain:
 
 
 def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
-            tables=None) -> TensorTrain:
+            tables=None, left=None) -> TensorTrain:
     """The right-to-left TT-SVD of a tensor with dims ``dims`` whose
     sequential unfolding A_({1..k-1}) is ``rows``.
 
@@ -82,10 +83,17 @@ def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
     (:func:`kernels.right_basis`), and the next step's row for the
     (p-2)-multiset s and column (j, alpha) is row grows[p-2][s, j] of A V.
 
+    With ``left``, the left-orthonormal cores 1..k-1 of a train, each step's
+    matrix is L_{p-1} M for the orthonormal columns L_{p-1} of their product
+    over modes 1..p-1, and ``rows`` holds M, which has its singular values
+    and V: TT-rounding (Oseledets, SIAM J. Sci. Comput. 2011).  The next
+    step's M is left core p-1 contracted with M V.
+
     The default threshold (``tol`` None) is resolved at step p's dense
     matrix, (n_1 ... n_{p-1}) x (n_p r_p), which is the shape of ``rows``
-    when no tables are given; a given ``tol`` is used as it is.  So ranks
-    and cores are those of the dense TT-SVD at ``tol``.
+    when neither tables nor left cores are given; a given ``tol`` is used as
+    it is.  So ranks are those of the dense TT-SVD at ``tol``, and so are
+    the cores, up to the signs the rule picks on M V with left cores.
     """
     k = len(dims)
     cores: list[np.ndarray] = [None] * k
@@ -100,10 +108,48 @@ def _tt_svd(rows: np.ndarray, dims, tol: RankTolerance | None,
         cores[p - 1] = v.T.reshape(r_left, dims[p - 1], r_right, order="F")
         if tables is not None:
             rows = rows[tables[0][p - 2]]
+        elif left is not None:
+            rows = left[p - 2] @ rows
         rows = rows.reshape(-1, dims[p - 2] * r_left, order="F")
         r_right = r_left
     cores[0] = rows.reshape(1, dims[0], r_right, order="F")
     return TensorTrain(tuple(cores))
+
+
+def _left_orthogonalize(cores):
+    """Left-orthogonalize a train's ``cores`` 1..m by QR, each absorbing
+    the triangular factor its predecessor leaves.
+
+    Returns the left-orthonormal cores Q_1..Q_m and the gauges G_0 = 1,
+    G_1..G_m: the product of cores 1..p over modes 1..p is that of
+    Q_1..Q_p times G_p, so it has the singular values and right singular
+    vectors of G_p.  Every matrix factored has at most n r^2 entries for
+    the largest rank r of ``cores``.
+    """
+    orthonormal, gauges = [], [np.ones((1, 1))]
+    for core in cores:
+        rows = gauges[-1].shape[0]
+        q, gauge = np.linalg.qr(
+            (gauges[-1] @ core.reshape(core.shape[0], -1))
+            .reshape(rows * core.shape[1], core.shape[2]))
+        orthonormal.append(q.reshape(rows, core.shape[1], q.shape[1]))
+        gauges.append(gauge)
+    return orthonormal, gauges
+
+
+def _tt_round(train: TensorTrain) -> TensorTrain:
+    """The train of :func:`tt_decompose` of the tensor ``train``
+    represents, without forming that tensor.
+
+    Cores 1..k-1 are left-orthogonalized (:func:`_left_orthogonalize`), and
+    :func:`_tt_svd` then sweeps right to left on the gauged last core, with
+    every threshold the default one at its dense step's shape.  A rank above
+    what its unfolding can hold is cut by the QRs' shapes.  Cores 2..k of
+    the result are right-orthonormal.
+    """
+    left, gauges = _left_orthogonalize(train.cores[:-1])
+    return _tt_svd(gauges[-1] @ train.cores[-1][:, :, 0], train.dims, None,
+                   left=left)
 
 
 def tt_decompose(source: np.ndarray,

@@ -10,11 +10,11 @@ from hpdstensor import benchmarks
 from hpdstensor.benchmarks import (SCHEMES, gen_instance, memory_report,
                                    timing_report)
 from hpdstensor.errors import ArgumentError, ScaleError
-from hpdstensor.hier_tucker import (htd_decompose, htd_param_count,
-                                    htd_reconstruct)
+from hpdstensor.hier_tucker import (htd_contract, htd_decompose,
+                                    htd_param_count, htd_reconstruct)
 from hpdstensor.randomness import generator
-from hpdstensor.tensor_train import (tt_decompose, tt_param_count,
-                                     tt_reconstruct)
+from hpdstensor.tensor_train import (tt_contract, tt_decompose,
+                                     tt_param_count, tt_reconstruct)
 
 
 def symmetric_dense_loop(n, k, seed):
@@ -94,6 +94,42 @@ class TestGenInstance:
         with pytest.raises(ScaleError):
             gen_instance("symmetric", 10, 8, seed=0)
 
+    def test_low_tt_past_the_guard_has_its_train_and_tree(self):
+        # 6^10 entries exceed the guard: no dense form, and the train and
+        # tree are converted from the generated train
+        inst = gen_instance("low_tt", 6, 10, rank_cap=3, seed=1)
+        assert inst.dense is None and set(inst.forms()) == {"tt", "ht"}
+        assert inst.tt.ranks == (1,) + (3,) * 9 + (1,)
+        assert inst.ht.max_rank() == 9
+        with pytest.raises(ScaleError):
+            gen_instance("low_ht", 6, 10, seed=0)
+
+    @pytest.mark.parametrize("n,k", [(8, 9), (2, 27)])
+    def test_low_tt_at_the_train_guard_keeps_every_rank(self, n, k):
+        # n^(k-1) = 2^24 and 2^26 rows: the default thresholds at the
+        # largest unfoldings are still roundoff, so the rounded train and
+        # the tree represent the drawn train
+        inst = gen_instance("low_tt", n, k, rank_cap=6, seed=7)
+        train = benchmarks._random_tt(n, k, 6, 7)
+        assert inst.tt.ranks == train.ranks
+        args = np.random.default_rng(0).standard_normal((k - 1, n))
+        want = tt_contract(train, list(args))
+        for got in (tt_contract(inst.tt, list(args)),
+                    htd_contract(inst.ht, list(args))):
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
+
+    def test_low_tt_past_the_train_guard_is_refused(self):
+        # 40^9 rows put the default threshold at 0.058 sigma_max, which
+        # would cut real rank; timing falls back to the drawn train alone
+        with pytest.raises(ScaleError):
+            gen_instance("low_tt", 40, 10, rank_cap=6, seed=7)
+        inst = benchmarks._generate_for_timing("low_tt", 40, 10, 6, 7)
+        assert set(inst.forms()) == {"tt"}
+        drawn = benchmarks._random_tt(40, 10, 6, 7)
+        assert all(got.tobytes() == want.tobytes()
+                   for got, want in zip(inst.tt.cores, drawn.cores))
+
     def test_unknown_scheme(self):
         with pytest.raises(ArgumentError):
             gen_instance("dense", 2, 3)
@@ -128,6 +164,14 @@ class TestWorkDone:
         counts = count_factored(monkeypatch)
         gen_instance("symmetric", 5, 7, seed=1)
         assert 0 < counts["qr"] + counts["svd"] < 5 ** 7
+
+    def test_low_tt_instance_factors_less_than_one_pass(self, monkeypatch):
+        # rounding and converting the rank-4 train factor matrices of at
+        # most n r^2 or r_left r_right r^2 entries, never the n^k = 262,144
+        # dense entries that decomposing its dense tensor reads
+        counts = count_factored(monkeypatch)
+        gen_instance("low_tt", 8, 6, rank_cap=4, seed=1)
+        assert 0 < counts["qr"] + counts["svd"] < 8 ** 6
 
     def test_tree_leaves_factor_shrinking_cores(self, monkeypatch):
         # six leaf QRs of dense unfoldings would read 6 * 8^6 = 1,572,864
@@ -178,6 +222,13 @@ class TestTimingReport:
         time_of = {r.repr: r.elapsed_ms for r in recs}
         assert {r.rank for r in recs} == {5}
         assert time_of["tt"] < time_of["full"]
+
+    def test_low_tt_past_the_guard_checks_tt_against_ht(self):
+        # beyond the dense guard the rank check compares the train with
+        # its tree, not the train with itself
+        recs = timing_report([6], [10], schemes=("low_tt",), m=1, repeats=1)
+        assert [r.repr for r in recs] == ["tt", "ht"]
+        assert recs[0].rank == recs[1].rank
 
     def test_median_stability_between_repeat_counts(self, monkeypatch):
         # a scripted clock: each controllability call takes the next

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.benchmarks import gen_instance
+from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
-                                    _climb, build_tree, htd_contract,
+                                    _climb, _train_tree, build_tree,
+                                    htd_contract,
                                     htd_decompose, htd_param_count,
                                     htd_reconstruct, htd_sweep)
 from hpdstensor.kernels import (RankTolerance, left_basis,
@@ -250,6 +251,41 @@ class TestSequentialLeaves:
         for node, _ in tree.walk():
             assert h.rank_of(node.modes) <= ref.rank_of(node.modes), \
                 node.modes
+
+
+class TestFromTrain:
+    @pytest.mark.parametrize("n,k,cap", [(3, 5, 2), (4, 4, 3), (2, 7, 4)])
+    def test_nested_bases_span_the_unfoldings(self, n, k, cap):
+        train = _random_tt(n, k, cap, 5)
+        h = _train_tree(train)
+        assert_nested(h, tt_reconstruct(train))
+
+    def test_factored_matrices_stay_small_past_the_dense_limit(self,
+                                                               monkeypatch):
+        # n=12, k=8: 4.3e8 dense entries; every QR and SVD factors at most
+        # n r^2 entries (a gauged core) or r_left r_right r^2 (a node's
+        # children contracted), r the largest train rank
+        sizes = []
+        for name in ("qr", "svd"):
+            original = getattr(np.linalg, name)
+
+            def recording(matrix, *args, _original=original, **kwargs):
+                sizes.append(np.size(matrix))
+                return _original(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        n, k, r = 12, 8, 6
+        train = _random_tt(n, k, r, 7)
+        h = _train_tree(train)
+        bound = max([n * r * r] + [h.rank_of(t.left.modes) *
+                                   h.rank_of(t.right.modes) * r * r
+                                   for t in h.tree.internal_nodes()])
+        assert max(sizes) <= bound
+        args = np.random.default_rng(0).standard_normal((n, k - 1))
+        args = [args[:, p] for p in range(k - 1)]
+        want = tt_contract(train, args)
+        assert np.linalg.norm(htd_contract(h, args) - want) <= \
+            1e-12 * np.linalg.norm(want)
 
 
 class TestTypedErrors:

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpdstensor import model as model_module
 from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
-from hpdstensor.benchmarks import gen_instance
+from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, DivergenceError, ShapeError
 from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
 from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
@@ -19,7 +19,10 @@ from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
                               simulate_discrete)
 from hpdstensor.sysid import (identify_full, identify_ht, identify_tt,
                               required_rank)
-from hpdstensor.tensor_train import TensorTrain, tt_decompose, tt_reconstruct
+from hpdstensor.tensor_train import (TensorTrain, tt_decompose,
+                                     tt_reconstruct, tt_zero)
+
+from test_tensor_train import train_sum
 
 
 def linear_model(a_matrix):
@@ -413,8 +416,9 @@ class TestFromCoefficients:
 
     def test_producers_take_no_dense_route(self, monkeypatch):
         # symmetric generation and autonomous identification build every
-        # form from the coefficients: no dense decomposition and no fold,
-        # under whatever module name they are reached
+        # form from the coefficients, low_tt generation from its train: no
+        # dense decomposition and no fold, under whatever module name they
+        # are reached
         def refuse(*args, **kwargs):
             raise AssertionError("dense route taken")
 
@@ -424,6 +428,8 @@ class TestFromCoefficients:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         n, k = 3, 4
+        low_tt = gen_instance("low_tt", n, k, rank_cap=2, seed=2)
+        assert set(low_tt.forms()) == {"full", "tt", "ht"}
         inst = gen_instance("symmetric", n, k, seed=2)
         truth = HpdsModel(k, n, inst.dense)
         x0 = np.random.default_rng(2).standard_normal(
@@ -436,3 +442,64 @@ class TestFromCoefficients:
                                   (identify_ht, htd_reconstruct)):
             got = rebuild(identify(samples, k).dynamics)
             assert np.linalg.norm(got - inst.dense) <= 1e-10 * norm
+
+
+def over_ranked_train(n, k, cap, seed):
+    """A random train whose interior ranks n * cap + 1 exceed n^p at both
+    ends, which rounding must cut."""
+    rng = np.random.default_rng(seed)
+    ranks = [1] + [n * cap + 1] * (k - 1) + [1]
+    return TensorTrain(tuple(rng.uniform(-1, 1, (ranks[p], n, ranks[p + 1]))
+                             for p in range(k)))
+
+
+class TestFromTrain:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 6), k=st.integers(2, 8), cap=st.integers(1, 6),
+           kind=st.sampled_from(("low_tt", "over_ranked", "zero")),
+           seed=st.integers(0, 2 ** 16))
+    # over-ranked at odd k: the tree node over the first half holds more
+    # modes than its complement, so its rank is cut below the train's
+    @example(n=3, k=3, cap=3, kind="over_ranked", seed=3)
+    @example(n=2, k=5, cap=2, kind="over_ranked", seed=0)
+    def test_forms_are_those_of_the_reconstructed_tensor(self, n, k, cap,
+                                                         kind, seed):
+        if n ** k > 20_000:
+            n = 2
+        train = {"low_tt": lambda: _random_tt(n, k, cap, seed),
+                 "over_ranked": lambda: over_ranked_train(n, k, cap, seed),
+                 "zero": lambda: tt_zero((n,) * k)}[kind]()
+        dense = FORMATS["full"].from_train(train)
+        assert dense.tobytes() == tt_reconstruct(train).tobytes()
+        if kind == "low_tt":
+            inst = gen_instance("low_tt", n, k, rank_cap=cap, seed=seed)
+            assert inst.dense.tobytes() == dense.tobytes()
+        # rounded and converted at the dense unfoldings' thresholds: the
+        # ranks of the dense decompositions
+        rounded = FORMATS["tt"].from_train(train)
+        assert rounded.ranks == FORMATS["tt"].from_dense(dense, None).ranks
+        tree = FORMATS["ht"].from_train(train)
+        dense_tree = FORMATS["ht"].from_dense(dense, None)
+        for node, _ in tree.tree.walk():
+            assert tree.rank_of(node.modes) == \
+                dense_tree.rank_of(node.modes), node.modes
+        norm = np.linalg.norm(dense)
+        assert np.linalg.norm(tt_reconstruct(rounded) - dense) <= 1e-13 * norm
+        assert np.linalg.norm(htd_reconstruct(tree) - dense) <= 1e-13 * norm
+
+    @pytest.mark.parametrize("n,k", [(4, 6), (3, 8), (5, 5)])
+    def test_thresholds_are_those_of_the_dense_unfoldings(self, n, k):
+        # a rank-1 part at 3e-14 of the rank-2 one: its singular values lie
+        # below the default threshold at the dense unfoldings' shapes but
+        # above it at the shapes of the small matrices factored
+        train = train_sum(_random_tt(n, k, 2, 1), _random_tt(n, k, 1, 2),
+                          3e-14)
+        dense = tt_reconstruct(train)
+        want = FORMATS["tt"].from_dense(dense, None).ranks
+        assert max(want) == 2
+        assert FORMATS["tt"].from_train(train).ranks == want
+        tree = FORMATS["ht"].from_train(train)
+        dense_tree = FORMATS["ht"].from_dense(dense, None)
+        for node, _ in tree.tree.walk():
+            assert tree.rank_of(node.modes) == \
+                dense_tree.rank_of(node.modes), node.modes

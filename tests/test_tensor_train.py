@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
-from hpdstensor.benchmarks import gen_instance
+from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
 from hpdstensor.kernels import RankTolerance, numerical_rank, right_basis
 from hpdstensor.model import FORMATS, HpdsModel, eval_derivative, format_of
-from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
-                                     tt_param_count, tt_reconstruct, tt_zero)
+from hpdstensor.tensor_train import (TensorTrain, _tt_round, tt_contract,
+                                     tt_decompose, tt_param_count,
+                                     tt_reconstruct, tt_zero)
 
 
 def random_tensor(shape, seed):
@@ -165,6 +166,33 @@ class TestOneTrainLoop:
         want = separate_tt_decompose(source, tol).cores
         assert [c.shape for c in got] == [c.shape for c in want]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def train_sum(a, b, scale=1.0):
+    """The train of a + scale * b, its cores block-diagonal."""
+    cores = []
+    for p, (x, y) in enumerate(zip(a.cores, b.cores)):
+        first, last = p == 0, p == len(a.cores) - 1
+        core = np.zeros((1 if first else x.shape[0] + y.shape[0], x.shape[1],
+                         1 if last else x.shape[2] + y.shape[2]))
+        core[:x.shape[0], :, :x.shape[2]] = x
+        core[0 if first else x.shape[0]:, :, 0 if last else x.shape[2]:] = \
+            (scale if first else 1.0) * y
+        cores.append(core)
+    return TensorTrain(tuple(cores))
+
+
+class TestRound:
+    def test_cores_after_the_first_are_right_orthonormal(self):
+        train = _random_tt(5, 6, 4, 3)
+        rounded = _tt_round(train)
+        for core in rounded.cores[1:]:
+            rows = core.reshape(core.shape[0], -1)
+            assert np.allclose(rows @ rows.T, np.eye(core.shape[0]),
+                               atol=1e-13)
+        dense = tt_reconstruct(train)
+        assert np.linalg.norm(tt_reconstruct(rounded) - dense) <= \
+            1e-13 * np.linalg.norm(dense)
 
 
 class TestReconstruct:
