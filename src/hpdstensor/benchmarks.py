@@ -204,6 +204,8 @@ def timing_report(n_list, k_list, schemes=SCHEMES, m: int = 5,
     """
     if repeats < 1:
         raise ArgumentError("repeats must be >= 1")
+    if m < 1:
+        raise ArgumentError("m must be >= 1")
     records = []
     for scheme in schemes:
         for n in n_list:

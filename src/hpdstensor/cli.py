@@ -12,7 +12,6 @@ format from a dense tensor here, and of ``serialize.CODECS``, which stores it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -33,11 +32,7 @@ SCHEME_ALIASES = {"sym": "symmetric", "lowtt": "low_tt", "lowht": "low_ht",
 
 
 def _tolerance(args) -> RankTolerance | None:
-    value = getattr(args, "tol", None)
-    if value is None:
-        env = os.environ.get("HPDS_TOL")
-        value = float(env) if env else None
-    return None if value is None else RankTolerance("relative", value)
+    return None if args.tol is None else RankTolerance("relative", args.tol)
 
 
 def _int_list(text: str) -> list[int]:

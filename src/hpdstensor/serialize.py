@@ -1,9 +1,10 @@
 """File formats: tensor/matrix/train/tree/model JSON, trajectory and bench CSV.
 
-All floating point numbers are written with 17 significant digits so the
-decimal text round-trips 64-bit values exactly and reruns produce
-byte-identical files.  Writers stage to a temporary file in the target
-directory and rename, so readers never observe partial output.
+Every float is written as Python's shortest round-trip ``repr``, in JSON and
+CSV alike, so values read back bitwise and reruns produce byte-identical
+files; a non-finite float in JSON is an error.  Writers stage to a temporary
+file in the target directory and rename, so readers never observe partial
+output.
 
 Layouts: tensor values are flat in psi (first-index-fastest) order, matrix
 values are column-major.  A model file names its dynamics' format in
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError
 from .hier_tucker import DimensionTree, HTucker, TreeNode
 from .model import HpdsModel, SampleSet
 from .tensor_train import TensorTrain
@@ -36,46 +37,27 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """Decimal text with 17 significant digits (round-trip safe)."""
-    return format(float(x), ".17g")
+    """The shortest decimal text that reads back as ``x`` (its ``repr``)."""
+    return repr(float(x))
+
+
+def _plain(obj):
+    """NumPy arrays and scalars as Python values, for :func:`json.dumps`."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise ArgumentError(f"cannot serialize {type(obj).__name__}")
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON text with floats at 17 significant digits."""
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces) + "\n"
-
-
-def _emit(obj, out: list[str]):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise ArgumentError(f"cannot serialize {type(obj).__name__}")
+    """Compact JSON, floats as :func:`format_float`; NaN or inf raises
+    :class:`NumericError`, as no JSON parser reads them."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False,
+                          default=_plain) + "\n"
+    except ArgumentError:
+        raise
+    except ValueError as exc:
+        raise NumericError(f"cannot write JSON: {exc}") from exc
 
 
 def write_text_atomic(path: str, text: str):
@@ -106,7 +88,7 @@ def read_json_file(path: str):
 def tensor_to_obj(tensor: np.ndarray) -> dict:
     tensor = np.asarray(tensor, dtype=float)
     return {"dims": list(tensor.shape),
-            "values": [float(v) for v in tensor.ravel(order="F")]}
+            "values": tensor.ravel(order="F").tolist()}
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
@@ -120,7 +102,7 @@ def tensor_from_obj(obj: dict) -> np.ndarray:
 def matrix_to_obj(matrix: np.ndarray) -> dict:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     return {"rows": matrix.shape[0], "cols": matrix.shape[1],
-            "values": [float(v) for v in matrix.ravel(order="F")]}
+            "values": matrix.ravel(order="F").tolist()}
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -250,24 +232,22 @@ def write_trajectory_csv(path: str, samples: SampleSet):
     if samples.Y0 is not None:
         header += [f"y{i + 1}" for i in range(samples.Y0.shape[0])]
         columns.append(samples.Y0)
-    # one format string per row, applied to Python floats: the text of
-    # format_float, without a NumPy scalar per value
-    line = ",".join(["{:.17g}"] * len(header))
-    tau = float(samples.tau)
-    rows = np.vstack(columns).T.tolist()
+    times = np.arange(samples.X0.shape[1]) * float(samples.tau)
+    rows = np.vstack([times] + columns).T.tolist()
     lines = [",".join(header)]
-    lines += [line.format(i * tau, *row) for i, row in enumerate(rows)]
+    lines += [",".join(map(repr, row)) for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str) -> SampleSet:
     with open(path) as handle:
         header = handle.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(",")))
-                for line in handle if line.strip()]
-    if not rows:
+        lines = [line for line in handle if line.strip()]
+    if not lines:
         raise ArgumentError(f"{path} holds no samples")
-    data = np.asarray(rows, dtype=float).T
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2).T
+    if data.shape[0] != len(header):
+        raise ShapeError(f"{path}: rows and header differ in width")
 
     groups: dict[str, list[int]] = {}
     for idx, name in enumerate(header):

@@ -258,3 +258,8 @@ class TestTimingReport:
     def test_bad_repeats(self):
         with pytest.raises(ArgumentError):
             timing_report([2], [3], repeats=0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_an_input_column(self, m):
+        with pytest.raises(ArgumentError, match="m must be"):
+            timing_report([2], [3], m=m)

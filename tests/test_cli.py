@@ -260,6 +260,14 @@ def test_bench_memory_csv_lists_generic_symmetric_counts(tmp_path):
         assert int(params) == generic_symmetric_counts(3, int(k))[name]
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_bench_time_without_inputs_exits_1(tmp_path, m):
+    out = tmp_path / "time.csv"
+    assert run(["bench", "time", "--n", "3", "--k-min", "3", "--k-max", "3",
+                "--m", m, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_bench_time_csv_sym(tmp_path):
     # timing_report raises when the representations disagree on the rank,
     # so the symmetric forms are cross-checked end to end
@@ -350,19 +358,52 @@ def test_determinism_byte_identical_outputs(workspace, tmp_path):
         assert first.read_bytes() == second.read_bytes(), name
 
 
-def test_tolerance_env_fallback(workspace, tmp_path, monkeypatch):
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_json_outputs_are_strict_json(workspace, tmp_path):
+    # the JSON files of the determinism commands above, and identify's and
+    # decompose's, hold no NaN or Infinity
     _, paths = workspace
+    tensor = tmp_path / "T.json"
+    serialize.write_tensor_file(str(tensor), gen_instance(
+        "symmetric", 3, 3, seed=1).dense)
+    traj = tmp_path / "traj.csv"
+    assert run(["simulate", "--model", str(paths["model"]), "--x0",
+                str(paths["x0"]), "--tau", "0.02", "--steps", "25",
+                "--out", str(traj)]) == 0
+    specs = [
+        ["analyze", "controllability", "--model", str(paths["model"]),
+         "--B", str(paths["B"])],
+        ["analyze", "observability", "--model", str(paths["model"]),
+         "--probes", "3", "--seed", "2"],
+        ["identify", "--data", str(traj), "--order", "3", "--repr", "ht"],
+        ["decompose", "--tensor", str(tensor), "--method", "tt"],
+    ]
+    for i, argv in enumerate(specs):
+        out = tmp_path / f"out{i}.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+def test_tolerance_flag(workspace, tmp_path, monkeypatch):
+    _, paths = workspace
+    argv = ["analyze", "controllability", "--model", str(paths["model"]),
+            "--B", str(paths["B"])]
     baseline = tmp_path / "con_base.json"
-    assert run(["analyze", "controllability", "--model", str(paths["model"]),
-                "--B", str(paths["B"]), "--out", str(baseline)]) == 0
+    assert run(argv + ["--out", str(baseline)]) == 0
     base_rank = json.loads(baseline.read_text())["rank"]
     # a near-one relative tolerance keeps only the top singular direction
     # of the random B, collapsing the reachable rank
-    monkeypatch.setenv("HPDS_TOL", "0.99999")
-    out = tmp_path / "con_env.json"
-    assert run(["analyze", "controllability", "--model", str(paths["model"]),
-                "--B", str(paths["B"]), "--out", str(out)]) == 0
+    out = tmp_path / "con_tol.json"
+    assert run(argv + ["--tol", "0.99999", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["rank"] < base_rank
+    # the environment does not change a command's output
+    monkeypatch.setenv("HPDS_TOL", "0.99999")
+    env = tmp_path / "con_env.json"
+    assert run(argv + ["--out", str(env)]) == 0
+    assert env.read_bytes() == baseline.read_bytes()
 
 
 def _io_round_trip(paths, u_csv, out_dir, repr_name):

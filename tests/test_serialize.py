@@ -1,16 +1,21 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
 from hpdstensor.cli import run
-from hpdstensor.errors import ArgumentError, ShapeError
-from hpdstensor.hier_tucker import htd_decompose, htd_reconstruct
+from hpdstensor.errors import ArgumentError, NumericError, ShapeError
+from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
 from hpdstensor.model import FORMATS, HpdsModel, SampleSet, \
     simulate_continuous, simulate_discrete
-from hpdstensor.tensor_train import tt_decompose, tt_reconstruct
+from hpdstensor.tensor_train import TensorTrain, tt_decompose, tt_reconstruct
 
 
 class TestJsonText:
@@ -28,6 +33,29 @@ class TestJsonText:
     def test_rejects_unknown_types(self):
         with pytest.raises(ArgumentError):
             serialize.dump_json({"v": object()})
+
+    def test_float_text_is_the_shortest_repr(self):
+        assert serialize.format_float(0.1) == "0.1"
+        assert serialize.format_float(-0.0) == "-0.0"
+        assert serialize.format_float(1) == "1.0"
+        assert serialize.format_float(np.float64(1e300)) == "1e+300"
+        assert serialize.dump_json([0.1, -0.0, 1.0, 5e-324]) == \
+            "[0.1,-0.0,1.0,5e-324]\n"
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
+        np.array([[1.0], [-np.inf]])])
+    def test_non_finite_raises_numeric_error(self, value):
+        with pytest.raises(NumericError):
+            serialize.dump_json({"v": [1.0, value]})
+
+    def test_numpy_values_write_as_plain_json(self):
+        obj = {"f32": np.float32(0.1), "i64": np.int64(-7),
+               "b": np.bool_(True), "f64": np.float64(0.25),
+               "nested": [np.arange(6.0).reshape(2, 3), np.arange(2)]}
+        assert serialize.dump_json(obj) == (
+            '{"f32":0.10000000149011612,"i64":-7,"b":true,"f64":0.25,'
+            '"nested":[[[0.0,1.0,2.0],[3.0,4.0,5.0]],[0,1]]}\n')
 
 
 class TestTensorMatrixObjects:
@@ -160,13 +188,27 @@ class TestTrajectoryCsv:
             rows.append(",".join(row))
         body = path.read_text().split("\n", 1)[1]
         assert body == "\n".join(rows) + "\n"
-        assert "-0," in body and "e-300," in body and "e+300," in body
+        assert "-0.0," in body and "e-300," in body and "e+300," in body
 
     def test_nonuniform_sampling_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x1\n0,1\n1,1\n3,1\n")
         with pytest.raises(ArgumentError):
             serialize.read_trajectory_csv(str(path))
+
+    @pytest.mark.parametrize("body, error", [
+        ("0,1\n0.1,2,3\n", ValueError),    # ragged
+        ("0,1\n#0.1,2\n", ValueError),     # not a number, not a comment
+        ("0,1\n0.1,2#3\n", ValueError),
+        ("0,1\n0.1,2\n", ShapeError),      # fewer columns than the header
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, body, error):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1,x2\n" + body)
+        with pytest.raises(error):
+            serialize.read_trajectory_csv(str(path))
+        assert run(["identify", "--data", str(path), "--order", "2",
+                    "--out", str(tmp_path / "fit.json")]) == 1
 
     def test_vector_and_input_csv(self, tmp_path):
         vec = tmp_path / "x0.csv"
@@ -188,6 +230,100 @@ class TestTrajectoryCsv:
                               [1.0, 2.0, 3.0])
         assert np.array_equal(serialize.read_input_csv(str(path)),
                               [[1.0], [2.0], [3.0]])
+
+
+# values a file must carry bitwise, beside hypothesis' finite floats
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 0.1, 1 / 3]
+FINITE = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  max_size=30)
+
+
+def _filled(shape, pool, start):
+    """An array of ``shape`` taking ``pool``'s values cyclically from
+    ``start``."""
+    index = np.arange(start, start + math.prod(shape))
+    return np.take(pool, index, mode="wrap").reshape(shape)
+
+
+def _arrays(dynamics) -> list:
+    """The numeric arrays of a dynamics object, in a fixed order."""
+    if isinstance(dynamics, TensorTrain):
+        return list(dynamics.cores)
+    if isinstance(dynamics, HTucker):
+        return [dynamics.leaf_factors[p] for p in sorted(
+            dynamics.leaf_factors)] + [dynamics.transfer[key] for key in
+                                       sorted(dynamics.transfer)]
+    return [dynamics]
+
+
+def _refilled(dynamics, pool, start):
+    """``dynamics`` with the same shapes and every value from ``pool``."""
+    if isinstance(dynamics, TensorTrain):
+        return TensorTrain(tuple(_filled(c.shape, pool, start + i)
+                                 for i, c in enumerate(dynamics.cores)))
+    if isinstance(dynamics, HTucker):
+        return HTucker(
+            dynamics.tree, dynamics.dims,
+            {p: _filled(f.shape, pool, start + p)
+             for p, f in dynamics.leaf_factors.items()},
+            {key: _filled(t.shape, pool, start + len(key))
+             for key, t in dynamics.transfer.items()})
+    return _filled(dynamics.shape, pool, start)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestBitwiseRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(rep=st.sampled_from(list(FORMATS)), drawn=FINITE,
+           start=st.integers(0, 50))
+    def test_models_read_back_bitwise(self, rep, drawn, start):
+        pool = np.array(SPECIAL + drawn)
+        rng = np.random.default_rng(6)
+        shape = FORMATS[rep].from_dense(
+            tc.almost_symmetrize(rng.standard_normal((3, 3, 3, 3))), None)
+        model = HpdsModel(4, 3, _refilled(shape, pool, start),
+                          B=_filled((3, 2), pool, start + 1),
+                          C=_filled((2, 3), pool, start + 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.json")
+            serialize.write_model(path, model)
+            loaded = serialize.read_model(path)
+        assert loaded.representation == rep
+        got = _arrays(loaded.dynamics) + [loaded.B, loaded.C]
+        want = _arrays(model.dynamics) + [model.B, model.C]
+        assert len(got) == len(want)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["derivative", "next_state"]), drawn=FINITE,
+           start=st.integers(0, 50), n=st.integers(1, 3),
+           samples=st.integers(2, 9), tau=st.sampled_from([0.02, 0.1, 0.5]),
+           inputs=st.integers(0, 2), outputs=st.integers(0, 2))
+    def test_trajectories_read_back_bitwise(self, kind, drawn, start, n,
+                                            samples, tau, inputs, outputs):
+        pool = np.array(SPECIAL + drawn)
+        block = {name: _filled((rows, samples), pool, start + i)
+                 if rows else None for i, (name, rows) in enumerate(
+                     (("X0", n), ("X1", n), ("U0", inputs), ("Y0", outputs)))}
+        data = SampleSet(tau=tau, x1_kind=kind, **block)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "traj.csv")
+            serialize.write_trajectory_csv(path, data)
+            loaded = serialize.read_trajectory_csv(path)
+        assert loaded.tau == tau
+        if kind == "next_state":
+            assert loaded.X1 is None
+            block["X1"] = None
+        for name, values in block.items():
+            if values is None:
+                assert getattr(loaded, name) is None
+            else:
+                assert _same_bits(getattr(loaded, name), values), name
 
 
 class TestAtomicWrite:
