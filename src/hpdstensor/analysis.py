@@ -52,7 +52,7 @@ __all__ = [
     "controllability", "controllability_full", "controllability_tt",
     "controllability_ht", "gradient_sum", "lift_operator",
     "observability", "observability_full", "observability_tt",
-    "observability_ht", "observability_at_probes",
+    "observability_ht",
 ]
 
 # The reference lift operators grow as n^(jk); refuse beyond this entry count.
@@ -298,24 +298,3 @@ def observability_ht(ht: HTucker, c: np.ndarray, x: np.ndarray,
     """Observability rank computed through tree contractions only."""
     return observability(ht, c, x, depth, tol)
 
-
-def observability_at_probes(observe, probes) -> ObservabilityResult:
-    """Evaluate an observability routine at several probe states.
-
-    A full-rank outcome at any probe settles the generic (open dense set)
-    verdict; otherwise the result records the best rank seen and every
-    probe tested.
-    """
-    best: ObservabilityResult | None = None
-    states = []
-    for x in probes:
-        res = observe(x=x)
-        states.append(np.asarray(x, dtype=float).ravel())
-        if best is None or res.matrix_rank > best.matrix_rank:
-            best = res
-        if best.verdict:
-            break
-    if best is None:
-        raise ArgumentError("at least one probe state is required")
-    return ObservabilityResult(best.matrix_rank, best.n, best.verdict,
-                               states, best.depth)

@@ -17,6 +17,7 @@ step then checks only that the state stayed finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -330,8 +331,8 @@ def add_noise(samples: SampleSet, sigma: float, seed: int = 0) -> SampleSet:
 
     Deterministic for a fixed seed; sigma = 0 returns the data unchanged.
     """
-    if sigma < 0:
-        raise ArgumentError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ArgumentError(f"sigma must be finite and nonnegative: {sigma}")
     if sigma == 0:
         return samples
     x1, y0 = samples.X1, samples.Y0

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
+
 
 def generator(seed: int) -> np.random.Generator:
-    """Philox-backed generator for the given seed."""
+    """Philox-backed generator for the given seed, an integer in 0..2^64-1."""
+    if not 0 <= seed < 2 ** 64:
+        raise ArgumentError(f"seed must be in 0..2^64-1, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -4,7 +4,9 @@ Every float is written as Python's shortest round-trip ``repr``, in JSON and
 CSV alike, so values read back bitwise and reruns produce byte-identical
 files; a non-finite float in JSON is an error.  Writers stage to a temporary
 file in the target directory and rename, so readers never observe partial
-output.
+output.  A CSV file's first non-blank line is its header when no field of it
+is a number.  Every other non-blank line is a data row; a row with a field
+that is not a number, or of another width, raises ValueError.
 
 Layouts: tensor values are flat in psi (first-index-fastest) order, matrix
 values are column-major.  A model file names its dynamics' format in
@@ -211,6 +213,33 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 # ------------------------------------------------------------------- CSV
 
+def _write_csv(path: str, header: list[str], rows):
+    """The header line, then one comma-separated line per row; ``str`` of a
+    Python float is its ``repr``."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """The header of ``path``, or None, and its data lines as matrix rows."""
+    with open(path) as handle:
+        lines = [line for line in handle if line.strip()]
+    header = None
+    if lines and not any(map(_is_number, lines[0].split(","))):
+        header = lines.pop(0).strip().split(",")
+    if not lines:
+        raise ArgumentError(f"{path} holds no numbers")
+    return header, np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
 def write_trajectory_csv(path: str, samples: SampleSet):
     """Header t,x1..xn[,dx1..dxn][,u1..um][,y1..yl], one row per sample.
 
@@ -233,19 +262,14 @@ def write_trajectory_csv(path: str, samples: SampleSet):
         header += [f"y{i + 1}" for i in range(samples.Y0.shape[0])]
         columns.append(samples.Y0)
     times = np.arange(samples.X0.shape[1]) * float(samples.tau)
-    rows = np.vstack([times] + columns).T.tolist()
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, np.vstack([times] + columns).T.tolist())
 
 
 def read_trajectory_csv(path: str) -> SampleSet:
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        lines = [line for line in handle if line.strip()]
-    if not lines:
-        raise ArgumentError(f"{path} holds no samples")
-    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2).T
+    header, rows = _read_csv(path)
+    if header is None:
+        raise ArgumentError(f"{path}: trajectory csv needs a header")
+    data = rows.T
     if data.shape[0] != len(header):
         raise ShapeError(f"{path}: rows and header differ in width")
 
@@ -268,42 +292,17 @@ def read_trajectory_csv(path: str) -> SampleSet:
                      U0=block("u"), Y0=block("y"), x1_kind="derivative")
 
 
-def _numeric_rows(path: str) -> list[list[float]]:
-    """The comma-separated numbers of each line of ``path``.  A blank line,
-    or one with any field that is not a number (a header), is skipped
-    whole."""
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            try:
-                row = [float(p) for p in line.split(",") if p.strip()]
-            except ValueError:
-                continue
-            if row:
-                rows.append(row)
-    if not rows:
-        raise ArgumentError(f"{path} holds no numbers")
-    return rows
-
-
 def read_vector_csv(path: str) -> np.ndarray:
     """Flat numeric CSV (one row or one column) as a vector."""
-    return np.asarray([v for row in _numeric_rows(path) for v in row],
-                      dtype=float)
+    return _read_csv(path)[1].ravel()
 
 
 def read_input_csv(path: str) -> np.ndarray:
     """Input samples as an m x T matrix; rows of the file are time steps."""
-    rows = _numeric_rows(path)
-    if len({len(r) for r in rows}) != 1:
-        raise ShapeError("ragged input csv")
-    return np.asarray(rows, dtype=float).T
+    return _read_csv(path)[1].T
 
 
 def write_bench_csv(path: str, records):
-    lines = ["scheme,n,k,repr,params,elapsed_ms,rank,seed"]
-    for r in records:
-        lines.append(",".join([r.scheme, str(r.n), str(r.k), r.repr,
-                               str(r.params), format_float(r.elapsed_ms),
-                               str(r.rank), str(r.seed)]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, "scheme,n,k,repr,params,elapsed_ms,rank,seed".split(","),
+               ([r.scheme, r.n, r.k, r.repr, r.params, r.elapsed_ms, r.rank,
+                 r.seed] for r in records))

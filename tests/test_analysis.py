@@ -1,6 +1,5 @@
 import itertools
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from hpdstensor import tensor_core as tc
 from hpdstensor.analysis import (_lie_gradients, _row_space,
                                  controllability_full, controllability_ht,
                                  controllability_tt, gradient_sum,
-                                 lift_operator, observability_at_probes,
-                                 observability_full, observability_ht,
-                                 observability_tt)
+                                 lift_operator, observability_full,
+                                 observability_ht, observability_tt)
 from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ScaleError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
@@ -612,21 +610,3 @@ class TestObservabilityDecomposed:
         res = observability_ht(htd_decompose(t), c, np.ones(3), depth=2)
         assert res.matrix_rank == 1 and not res.verdict
 
-
-class TestProbePolicy:
-    def test_any_full_rank_probe_settles_verdict(self):
-        t = tc.almost_symmetrize(np.random.default_rng(20).standard_normal((3, 3, 3)))
-        c = np.random.default_rng(21).standard_normal((3, 3))
-        observe = partial(observability_full, t, c, depth=2)
-        res = observability_at_probes(lambda x: observe(x=x),
-                                      [np.zeros(3), np.ones(3)])
-        assert res.verdict
-        assert len(res.probe_states) <= 2
-
-    def test_all_probes_recorded_on_failure(self):
-        t = np.zeros((3, 3, 3))
-        c = np.zeros((1, 3))
-        observe = partial(observability_full, t, c, depth=1)
-        probes = [np.ones(3) * i for i in range(4)]
-        res = observability_at_probes(lambda x: observe(x=x), probes)
-        assert not res.verdict and len(res.probe_states) == 4

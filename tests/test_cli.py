@@ -177,6 +177,86 @@ def test_analyze_observability_probes(workspace):
     assert report["verdict"] is True
     assert report["rank"] == 3
     assert report["representation"] == "full"
+    # a full-rank probe settles the verdict: the first one ends the search
+    assert report["probes"] == 1
+
+
+def test_analyze_observability_tries_every_probe_short_of_full_rank(
+        tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    serialize.write_model(str(path), HpdsModel(3, 3, np.zeros((3, 3, 3)),
+                                               C=np.zeros((1, 3))))
+    out = tmp_path / "obs.json"
+    argv = ["analyze", "observability", "--model", str(path), "--depth", "1"]
+    assert run(argv + ["--probes", "4", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["probes"] == 4 and report["verdict"] is False
+    assert report["rank"] == 0
+    none = tmp_path / "none.json"
+    assert run(argv + ["--probes", "0", "--out", str(none)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not none.exists()
+
+
+def _leftovers(directory) -> list[str]:
+    """Temporary files an atomic write left behind in ``directory``."""
+    return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+def test_simulate_refuses_a_mistyped_input_row(workspace, capsys):
+    _, paths = workspace
+    rows = ["u1,u2"] + [f"0.0{i},0.1" for i in range(12)]
+    rows[4] = "0.03,0.0x3"   # the fourth data row
+    u_csv = paths["dir"] / "u.csv"
+    u_csv.write_text("\n".join(rows) + "\n")
+    traj = paths["dir"] / "traj.csv"
+    assert run(["simulate", "--model", str(paths["model"]),
+                "--x0", str(paths["x0"]), "--input", str(u_csv),
+                "--tau", "0.05", "--steps", "10", "--method", "discrete",
+                "--out", str(traj)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not traj.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_refuses_a_non_finite_noise_std(workspace, capsys, sigma):
+    _, paths = workspace
+    traj = paths["dir"] / "traj.csv"
+    assert run(["simulate", "--model", str(paths["model"]),
+                "--x0", str(paths["x0"]), "--tau", "0.02", "--steps", "5",
+                "--noise-std", sigma, "--out", str(traj)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not traj.exists() and not _leftovers(paths["dir"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_a_seed_outside_64_bits_exits_1(workspace, capsys, seed):
+    _, paths = workspace
+    out = paths["dir"] / "out"
+    for argv in (
+            ["simulate", "--model", str(paths["model"]),
+             "--x0", str(paths["x0"]), "--tau", "0.02", "--steps", "5",
+             "--noise-std", "0.1"],
+            ["analyze", "observability", "--model", str(paths["model"])],
+            ["bench", "memory", "--n", "2", "--k-min", "3", "--k-max", "3"]):
+        assert run(argv + ["--seed", seed, "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not _leftovers(paths["dir"])
+
+
+def test_a_directory_as_model_or_out_exits_1(workspace, capsys):
+    _, paths = workspace
+    folder = paths["dir"] / "folder"
+    folder.mkdir()
+    traj = paths["dir"] / "traj.csv"
+    argv = ["simulate", "--x0", str(paths["x0"]), "--tau", "0.02",
+            "--steps", "5"]
+    for files in (["--model", str(folder), "--out", str(traj)],
+                  ["--model", str(paths["model"]), "--out", str(folder)]):
+        assert run(argv + files) == 1, files
+        assert capsys.readouterr().err.startswith("error:")
+        assert not traj.exists() and not _leftovers(paths["dir"])
+    assert folder.is_dir() and not any(folder.iterdir())
 
 
 def test_decompose_round_trip(tmp_path):

@@ -17,6 +17,7 @@ from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
 from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
                               eval_derivative, simulate_continuous,
                               simulate_discrete)
+from hpdstensor.randomness import generator
 from hpdstensor.sysid import (identify_full, identify_ht, identify_tt,
                               required_rank)
 from hpdstensor.tensor_train import (TensorTrain, tt_decompose,
@@ -366,6 +367,11 @@ class TestAddNoise:
         s = self.make_samples()
         assert np.array_equal(add_noise(s, 1e-2, seed=0).X0, s.X0)
 
+    @pytest.mark.parametrize("sigma", [-1e-3, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ArgumentError):
+            add_noise(self.make_samples(), sigma, seed=0)
+
     def test_noise_statistics(self):
         # mean within 4 sigma / sqrt(N), variance near sigma^2
         s = SampleSet(tau=1.0, X1=np.zeros((10, 10_000)))
@@ -374,6 +380,13 @@ class TestAddNoise:
         n_draws = noise.size
         assert abs(noise.mean()) <= 4 * sigma / np.sqrt(n_draws)
         assert abs(noise.std() - sigma) <= 0.01 * sigma
+
+
+def test_generator_seeds_are_64_bit_unsigned():
+    assert generator(2 ** 64 - 1).random() != generator(0).random()
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ArgumentError):
+            generator(seed)
 
 
 class TestSampleSet:

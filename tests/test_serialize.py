@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hpdstensor import serialize
 from hpdstensor import tensor_core as tc
+from hpdstensor.benchmarks import BenchRecord
 from hpdstensor.cli import run
 from hpdstensor.errors import ArgumentError, NumericError, ShapeError
 from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
@@ -223,13 +224,33 @@ class TestTrajectoryCsv:
         assert np.array_equal(serialize.read_input_csv(str(u)),
                               [[1.0, 3.0], [2.0, 4.0]])
 
-    def test_a_line_that_fails_to_parse_is_skipped_whole(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "x1,x2,x3\n0.5,abc,2\n1,2,3\n",
+        "0.03,0.0x3\n1,2\n",   # has numbers, so it is data, not a header
+        "u1,u2\n1,2\n3\n",
+        "0.5,-1,\n",
+    ], ids=["not_a_number", "first_line", "another_width", "empty_field"])
+    def test_a_line_that_fails_to_parse_raises(self, tmp_path, text):
         path = tmp_path / "bad_line.csv"
-        path.write_text("x1,x2,x3\n0.5,abc,2\n1,2,3\n")
-        assert np.array_equal(serialize.read_vector_csv(str(path)),
-                              [1.0, 2.0, 3.0])
-        assert np.array_equal(serialize.read_input_csv(str(path)),
-                              [[1.0], [2.0], [3.0]])
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            serialize.read_vector_csv(str(path))
+        with pytest.raises(ValueError):
+            serialize.read_input_csv(str(path))
+
+    def test_a_header_is_optional_and_blank_lines_are_skipped(self, tmp_path):
+        bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+        bare.write_text("1,2\n3,4\n")
+        headed.write_text("\nu1,u2\n\n1,2\n3,4\n\n")
+        for read in (serialize.read_vector_csv, serialize.read_input_csv):
+            assert np.array_equal(read(str(bare)), read(str(headed)))
+        # a trajectory is read by its column names, so it needs its header
+        with pytest.raises(ArgumentError):
+            serialize.read_trajectory_csv(str(bare))
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("u1,u2\n")
+        with pytest.raises(ArgumentError):
+            serialize.read_input_csv(str(header_only))
 
 
 # values a file must carry bitwise, beside hypothesis' finite floats
@@ -315,6 +336,9 @@ class TestBitwiseRoundTrip:
             path = str(Path(tmp) / "traj.csv")
             serialize.write_trajectory_csv(path, data)
             loaded = serialize.read_trajectory_csv(path)
+            # the same file read as an input file and as a vector file
+            as_input = serialize.read_input_csv(path)
+            as_vector = serialize.read_vector_csv(path)
         assert loaded.tau == tau
         if kind == "next_state":
             assert loaded.X1 is None
@@ -324,6 +348,24 @@ class TestBitwiseRoundTrip:
                 assert getattr(loaded, name) is None
             else:
                 assert _same_bits(getattr(loaded, name), values), name
+        # the columns in file order, one row of the input matrix each
+        table = np.vstack([np.arange(samples) * tau] +
+                          [v for v in block.values() if v is not None])
+        assert _same_bits(as_input, table)
+        assert _same_bits(as_vector, table.T.ravel())
+
+
+def test_bench_csv_bytes(tmp_path):
+    records = [BenchRecord("symmetric", 2, 4, "full", 5, 0.1, 2, 0),
+               BenchRecord("low_tt", 3, 5, "tt", 18, 12.5, 1, 7),
+               BenchRecord("low_ht", 3, 5, "ht", 21, 1 / 3, 1, 7)]
+    path = tmp_path / "bench.csv"
+    serialize.write_bench_csv(str(path), records)
+    assert path.read_bytes() == (
+        b"scheme,n,k,repr,params,elapsed_ms,rank,seed\n"
+        b"symmetric,2,4,full,5,0.1,2,0\n"
+        b"low_tt,3,5,tt,18,12.5,1,7\n"
+        b"low_ht,3,5,ht,21,0.3333333333333333,1,7\n")
 
 
 class TestAtomicWrite:
