@@ -36,7 +36,7 @@ by name in this module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class ObservabilityResult:
     matrix_rank: int
     n: int
     verdict: bool
-    probe_states: list = field(default_factory=list)
     depth: int = 0
 
 
@@ -274,7 +273,7 @@ def observability(dynamics, c: np.ndarray, x: np.ndarray,
         raise ArgumentError(f"depth must be in 0..{n - 1}, got {depth}")
     rank = numerical_rank(
         np.vstack(_lie_gradients(fmt, dynamics, k, c, x, depth)), tol)
-    return ObservabilityResult(rank, n, rank == n, [x], depth)
+    return ObservabilityResult(rank, n, rank == n, depth)
 
 
 def observability_full(tensor: np.ndarray, c: np.ndarray, x: np.ndarray,

@@ -57,10 +57,6 @@ class BenchRecord:
 class Instance:
     """One generated dynamic tensor in every available representation."""
 
-    scheme: str
-    n: int
-    k: int
-    seed: int
     dense: np.ndarray | None
     tt: TensorTrain | None
     ht: HTucker | None
@@ -125,10 +121,10 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
     instance's from its monomial coefficients (``from_coefficients``), a
     low_tt instance's from its train (``from_train``: rounded, converted to
     the balanced tree, and contracted for the full form only), a low_ht
-    instance's from its dense tensor (``from_dense``).  Sizes whose dense
-    tensor exceeds the desk-scale limit are refused, except for low_tt,
-    which then has no full form, up to the size where the default
-    thresholds of its largest unfoldings leave roundoff.
+    instance's from its dense tensor (``from_dense``).  Past the desk-scale
+    limit on the dense tensor, a low_ht instance is refused, and a
+    symmetric or low_tt instance has no full form, up to the size where
+    the default thresholds of its largest unfoldings leave roundoff.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -138,7 +134,7 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
         raise ArgumentError("model order k must be >= 2")
     names = ("full", "tt", "ht")
     if n ** k > DENSE_GUARD:
-        if scheme != "low_tt":
+        if scheme == "low_ht":
             raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
         if n ** (k - 1) > TRAIN_GUARD:
             raise ScaleError(f"default thresholds at n^(k-1) = {n ** (k - 1)}"
@@ -154,8 +150,7 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
         dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))
         build = lambda fmt: fmt.from_dense(dense, None)
     forms = {name: build(FORMATS[name]) for name in names}
-    return Instance(scheme, n, k, seed, forms.get("full"), forms["tt"],
-                    forms["ht"])
+    return Instance(forms.get("full"), forms["tt"], forms["ht"])
 
 
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,
@@ -185,11 +180,9 @@ def _generate_for_timing(scheme, n, k, rank_cap, seed) -> Instance:
         return gen_instance(scheme, n, k, rank_cap, seed)
     except ScaleError:
         if scheme == "low_tt":
-            return Instance(scheme, n, k, seed, None,
-                            _random_tt(n, k, rank_cap, seed), None)
+            return Instance(None, _random_tt(n, k, rank_cap, seed), None)
         if scheme == "low_ht":
-            return Instance(scheme, n, k, seed, None, None,
-                            _random_ht(n, k, rank_cap, seed))
+            return Instance(None, None, _random_ht(n, k, rank_cap, seed))
         raise
 
 

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 identifiability condition failed
 (a machine-readable report is still written), 3 numerical failure or
 divergence, 4 scale guard tripped.  Outputs are written atomically and,
-apart from wall-clock measurements requested explicitly, reruns of the
-same command produce byte-identical files.  Format names (``--repr``,
+apart from the wall-clock rows of ``bench time``, reruns of the same
+command produce byte-identical files.  Format names (``--repr``,
 ``decompose --method``) are keys of ``model.FORMATS``, which builds each
 format from a dense tensor here, and of ``serialize.CODECS``, which stores it.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from functools import cache
 
@@ -88,17 +87,13 @@ def cmd_analyze_controllability(args) -> int:
     b = serialize.read_matrix_file(args.B) if args.B else model.B
     if b is None:
         raise ArgumentError("no control matrix: pass --B or store B in the model")
-    tol = _tolerance(args)
-    start = time.perf_counter()
-    result = analysis.controllability(model.dynamics, b, tol)
-    elapsed = (time.perf_counter() - start) * 1e3
+    result = analysis.controllability(model.dynamics, b, _tolerance(args))
     serialize.write_json_file(args.out, {
         "rank": result.rank,
         "n": model.n,
         "verdict": result.verdict,
         "iterations": result.iterations,
         "representation": model.representation,
-        "elapsed_ms": elapsed if args.timing else None,
     })
     return 0
 
@@ -117,7 +112,6 @@ def cmd_analyze_observability(args) -> int:
         raise ArgumentError("at least one probe state is required")
     tol = _tolerance(args)
     # a full-rank probe settles the generic verdict; else keep the best rank
-    start = time.perf_counter()
     best = None
     for tried, x in enumerate(probes, 1):
         result = analysis.observability(model.dynamics, c, x, args.depth, tol)
@@ -125,7 +119,6 @@ def cmd_analyze_observability(args) -> int:
             best = result
         if best.verdict:
             break
-    elapsed = (time.perf_counter() - start) * 1e3
     serialize.write_json_file(args.out, {
         "rank": best.matrix_rank,
         "n": best.n,
@@ -133,7 +126,6 @@ def cmd_analyze_observability(args) -> int:
         "depth": best.depth,
         "probes": tried,
         "representation": model.representation,
-        "elapsed_ms": elapsed if args.timing else None,
     })
     return 0
 
@@ -225,8 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--model", required=True)
     con.add_argument("--B", help="control matrix json (defaults to model B)")
     con.add_argument("--tol", type=float)
-    con.add_argument("--timing", action="store_true",
-                     help="record wall time (breaks byte determinism)")
     con.add_argument("--out", required=True)
     con.set_defaults(handler="cmd_analyze_controllability")
 
@@ -238,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--seed", type=int, default=0)
     obs.add_argument("--depth", type=int)
     obs.add_argument("--tol", type=float)
-    obs.add_argument("--timing", action="store_true")
     obs.add_argument("--out", required=True)
     obs.set_defaults(handler="cmd_analyze_observability")
 

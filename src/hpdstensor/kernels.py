@@ -71,9 +71,6 @@ class CompactSvd:
     def rank(self) -> int:
         return self.S.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
 
 def compact_svd(matrix: np.ndarray, tol: RankTolerance | None = None) -> CompactSvd:
     """Compact SVD keeping singular values above the tolerance threshold."""

@@ -162,23 +162,14 @@ class HpdsModel:
     def representation(self) -> str:
         return format_of(self.dynamics)
 
-    @property
-    def m(self) -> int | None:
-        return None if self.B is None else self.B.shape[1]
-
-    @property
-    def l(self) -> int | None:
-        return None if self.C is None else self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class SampleSet:
     """Sampled trajectory data.
 
-    X0 holds states column per sample.  X1 holds exact derivatives at those
-    states on the continuous path (``x1_kind == "derivative"``) or the
-    one-step-shifted states on the discrete path (``x1_kind == "next_state"``).
-    U0 and Y0 hold inputs and outputs when present.
+    X0 holds states column per sample and X1 the derivatives at those
+    states; discrete-time samples carry no X1.  U0 and Y0 hold inputs and
+    outputs when present.
     """
 
     tau: float
@@ -186,7 +177,6 @@ class SampleSet:
     X1: np.ndarray | None = None
     U0: np.ndarray | None = None
     Y0: np.ndarray | None = None
-    x1_kind: str = "derivative"
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -202,13 +192,6 @@ class SampleSet:
                 counts.add(mat.shape[1])
         if len(counts) > 1:
             raise ShapeError(f"inconsistent sample counts {sorted(counts)}")
-
-    @property
-    def samples(self) -> int:
-        for mat in (self.X0, self.X1, self.U0, self.Y0):
-            if mat is not None:
-                return mat.shape[1]
-        return 0
 
 
 def eval_derivative(model: HpdsModel, x: np.ndarray,
@@ -294,8 +277,7 @@ def simulate_continuous(model: HpdsModel, x0: np.ndarray,
 
     y = None if model.C is None else model.C @ states
     return SampleSet(tau=tau, X0=states, X1=derivs,
-                     U0=None if uu is None else uu[:, :steps].copy(), Y0=y,
-                     x1_kind="derivative")
+                     U0=None if uu is None else uu[:, :steps].copy(), Y0=y)
 
 
 def simulate_discrete(model: HpdsModel, x0: np.ndarray,
@@ -303,13 +285,13 @@ def simulate_discrete(model: HpdsModel, x0: np.ndarray,
                       steps: int = 100) -> SampleSet:
     """Iterate the finite-difference map x+ = x + tau A x^[k-1] + B u.
 
-    X0 carries x[0..T-1], X1 the shifted states x[1..T], U0 the applied
-    inputs, and Y0 = C X0 when the model has an output matrix.
+    X0 carries x[0..T-1], U0 the applied inputs, and Y0 = C X0 when the
+    model has an output matrix.  X1 is None: the next states are X0's later
+    columns.
     """
     x, uu, evaluate = _start(model, x0, u, tau, steps)
 
     states = np.zeros((model.n, steps))
-    nxt = np.zeros((model.n, steps))
     for i in range(steps):
         states[:, i] = x
         # tau scales the polynomial drift only; the input enters unscaled,
@@ -318,12 +300,10 @@ def simulate_discrete(model: HpdsModel, x0: np.ndarray,
         if uu is not None:
             x = x + model.B @ uu[:, i]
         _check_finite(x, i + 1)
-        nxt[:, i] = x
 
     y = None if model.C is None else model.C @ states
-    return SampleSet(tau=tau, X0=states, X1=nxt,
-                     U0=None if uu is None else uu[:, :steps].copy(), Y0=y,
-                     x1_kind="next_state")
+    return SampleSet(tau=tau, X0=states,
+                     U0=None if uu is None else uu[:, :steps].copy(), Y0=y)
 
 
 def add_noise(samples: SampleSet, sigma: float, seed: int = 0) -> SampleSet:

@@ -6,7 +6,8 @@ files; a non-finite float in JSON is an error.  Writers stage to a temporary
 file in the target directory and rename, so readers never observe partial
 output.  A CSV file's first non-blank line is its header when no field of it
 is a number.  Every other non-blank line is a data row; a row with a field
-that is not a number, or of another width, raises ValueError.
+that is not a number, or of another width, raises ValueError naming the
+file and the line.
 
 Layouts: tensor values are flat in psi (first-index-fastest) order, matrix
 values are column-major.  A model file names its dynamics' format in
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -231,28 +233,36 @@ def _is_number(field: str) -> bool:
 def _read_csv(path: str) -> tuple[list[str] | None, np.ndarray]:
     """The header of ``path``, or None, and its data lines as matrix rows."""
     with open(path) as handle:
-        lines = [line for line in handle if line.strip()]
+        numbered = [(number, line) for number, line in enumerate(handle, 1)
+                    if line.strip()]
     header = None
-    if lines and not any(map(_is_number, lines[0].split(","))):
-        header = lines.pop(0).strip().split(",")
-    if not lines:
+    if numbered and not any(map(_is_number, numbered[0][1].split(","))):
+        header = numbered.pop(0)[1].strip().split(",")
+    if not numbered:
         raise ArgumentError(f"{path} holds no numbers")
-    return header, np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    try:
+        return header, np.loadtxt([line for _, line in numbered],
+                                  delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # name the first line in the file that is not a row of numbers
+        width = len(numbered[0][1].split(","))
+        for number, line in numbered:
+            fields = line.split(",")
+            if len(fields) != width or not all(map(_is_number, fields)):
+                raise ValueError(f"{path}, line {number}: {line.strip()!r} "
+                                 f"is not {width} numbers") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_trajectory_csv(path: str, samples: SampleSet):
-    """Header t,x1..xn[,dx1..dxn][,u1..um][,y1..yl], one row per sample.
-
-    Derivative columns are written only for derivative-kind sample sets;
-    the discrete path's shifted states are reproducible from the state
-    columns and are not stored.
-    """
+    """Header t,x1..xn[,dx1..dxn][,u1..um][,y1..yl], one row per sample;
+    the dx columns appear exactly when the samples carry derivatives X1."""
     if samples.X0 is None:
         raise ArgumentError("trajectory output needs states X0")
     n = samples.X0.shape[0]
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
     columns = [samples.X0]
-    if samples.X1 is not None and samples.x1_kind == "derivative":
+    if samples.X1 is not None:
         header += [f"dx{i + 1}" for i in range(n)]
         columns.append(samples.X1)
     if samples.U0 is not None:
@@ -265,6 +275,10 @@ def write_trajectory_csv(path: str, samples: SampleSet):
     _write_csv(path, header, np.vstack([times] + columns).T.tolist())
 
 
+# t, or a channel name and its positive index
+_TRAJECTORY_COLUMN = re.compile(r"t|(dx|x|u|y)[1-9][0-9]*")
+
+
 def read_trajectory_csv(path: str) -> SampleSet:
     header, rows = _read_csv(path)
     if header is None:
@@ -275,8 +289,9 @@ def read_trajectory_csv(path: str) -> SampleSet:
 
     groups: dict[str, list[int]] = {}
     for idx, name in enumerate(header):
-        key = name.rstrip("0123456789")
-        groups.setdefault(key, []).append(idx)
+        if not _TRAJECTORY_COLUMN.fullmatch(name) or name in header[:idx]:
+            raise ArgumentError(f"{path}: unknown or repeated column {name!r}")
+        groups.setdefault(name.rstrip("0123456789"), []).append(idx)
     if "t" not in groups or "x" not in groups:
         raise ArgumentError("trajectory csv needs t and x columns")
     t_row = data[groups["t"][0]]
@@ -289,7 +304,7 @@ def read_trajectory_csv(path: str) -> SampleSet:
         return data[groups[key]] if key in groups else None
 
     return SampleSet(tau=tau, X0=block("x"), X1=block("dx"),
-                     U0=block("u"), Y0=block("y"), x1_kind="derivative")
+                     U0=block("u"), Y0=block("y"))
 
 
 def read_vector_csv(path: str) -> np.ndarray:

@@ -190,10 +190,9 @@ def _recover_coefficients(samples: SampleSet, k: int,
     max(n^(k-1), T) eps kappa drops ranks at that level.
     """
     if samples.X0 is None or samples.X1 is None:
-        raise ArgumentError("autonomous identification needs X0 and X1")
-    if samples.x1_kind != "derivative":
-        raise ArgumentError("autonomous identification needs derivative data; "
-                            "use the io path for discrete samples")
+        raise ArgumentError("autonomous identification needs states X0 and "
+                            "derivatives X1; use the io path for discrete "
+                            "samples")
     n, t = samples.X0.shape
     report, tri, root, tables = _autonomous_qr(samples.X0, k, tol, samples.X1)
     if not report.satisfied:
@@ -278,9 +277,9 @@ def _io_fit(samples: SampleSet, k: int, n: int | None,
     the finite-difference regression (None without ``fit``) and the states
     it is solved over.
 
-    The states are reconstructed from Y0 once.  The regression of
-    X1 - X0 over [W^{1/2} R; U0], the weighted monomials of X0 over the
-    inputs, is one :func:`_qr_fit`, which also gives the report.  tau is
+    The states are reconstructed from Y0 once.  The regression of the steps
+    x[t+1] - x[t] over [W^{1/2} R; U0], the weighted monomials of x[t] over
+    the inputs, is one :func:`_qr_fit`, which also gives the report.  tau is
     divided out of the monomial coefficients instead of scaling the design
     by it, which changes neither the rank nor the fitted dynamics.  The
     model's C is the output basis.
@@ -340,10 +339,9 @@ def identify_io(samples: SampleSet, k: int, n: int | None = None,
     """Identify (A, B, C) from exact input-output data.
 
     C is the left singular basis of Y0, the states are its co-factor, and
-    the dynamics solve the finite-difference relation
-    X1 = X0 + tau A_(k) X0_hat + B U0 in that state basis.  The realization
-    is unique up to the basis, so accuracy is asserted on reproduced
-    outputs, not raw parameters.
+    the dynamics solve x[t+1] = x[t] + tau A_(k) x[t]^[k-1] + B u[t] in
+    that state basis.  The realization is unique up to the basis, so
+    accuracy is asserted on reproduced outputs, not raw parameters.
     """
     return _io_fit(samples, k, n, tol, fit=True)[1]
 

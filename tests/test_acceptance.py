@@ -118,10 +118,8 @@ def test_criterion_04_io_recovery():
     reference = simulate_discrete(truth_model, x0, u=u, tau=0.05,
                                   steps=t_train + held_out)
     train_window = SampleSet(tau=0.05, X0=reference.X0[:, :t_train],
-                             X1=reference.X1[:, :t_train],
                              U0=reference.U0[:, :t_train],
-                             Y0=reference.Y0[:, :t_train],
-                             x1_kind="next_state")
+                             Y0=reference.Y0[:, :t_train])
     positive = check_identifiability_io(train_window, k).satisfied
     fitted = identify_io(train_window, k)
     z0 = fitted.C.T @ reference.Y0[:, 0]

@@ -92,7 +92,21 @@ class TestGenInstance:
 
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
-            gen_instance("symmetric", 10, 8, seed=0)
+            gen_instance("low_ht", 10, 8, seed=0)
+
+    def test_symmetric_past_the_guard_has_its_train_and_tree(self):
+        # 6^10 entries exceed the guard; the train and tree are built from
+        # the monomial coefficients, which never form them
+        inst = gen_instance("symmetric", 6, 10, seed=1)
+        assert inst.dense is None and set(inst.forms()) == {"tt", "ht"}
+        args = np.random.default_rng(0).standard_normal((9, 6))
+        want = tt_contract(inst.tt, list(args))
+        got = htd_contract(inst.ht, list(args))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_symmetric_past_the_train_guard_is_refused(self):
+        with pytest.raises(ScaleError):
+            gen_instance("symmetric", 40, 10, seed=7)
 
     def test_low_tt_past_the_guard_has_its_train_and_tree(self):
         # 6^10 entries exceed the guard: no dense form, and the train and

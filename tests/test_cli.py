@@ -146,7 +146,14 @@ def test_analyze_controllability_report(workspace):
     assert report["rank"] == 3
     assert report["verdict"] == "accessible"  # k = 3 is odd
     assert report["representation"] == "full"
-    assert report["elapsed_ms"] is None
+    assert set(report) == {"rank", "n", "verdict", "iterations",
+                           "representation"}
+    # the report depends only on the inputs: there is no wall-clock option
+    timed = paths["dir"] / "timed.json"
+    assert run(["analyze", "controllability", "--model", str(paths["model"]),
+                "--B", str(paths["eye"]), "--timing",
+                "--out", str(timed)]) == 1
+    assert not timed.exists()
 
     # even-k model with identity input is strongly controllable
     rng = np.random.default_rng(3)
@@ -179,6 +186,12 @@ def test_analyze_observability_probes(workspace):
     assert report["representation"] == "full"
     # a full-rank probe settles the verdict: the first one ends the search
     assert report["probes"] == 1
+    assert set(report) == {"rank", "n", "verdict", "depth", "probes",
+                           "representation"}
+    timed = paths["dir"] / "timed.json"
+    assert run(["analyze", "observability", "--model", str(paths["model"]),
+                "--timing", "--out", str(timed)]) == 1
+    assert not timed.exists()
 
 
 def test_analyze_observability_tries_every_probe_short_of_full_rank(
@@ -201,6 +214,20 @@ def test_analyze_observability_tries_every_probe_short_of_full_rank(
 def _leftovers(directory) -> list[str]:
     """Temporary files an atomic write left behind in ``directory``."""
     return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
+
+
+def test_a_csv_parse_error_names_the_file_and_line(workspace, capsys):
+    _, paths = workspace
+    u_csv = paths["dir"] / "u.csv"
+    u_csv.write_text("u1,u2\n0.01,0.1\n\n0.03,0.0x3\n0.04,0.1\n")
+    traj = paths["dir"] / "traj.csv"
+    assert run(["simulate", "--model", str(paths["model"]),
+                "--x0", str(paths["x0"]), "--input", str(u_csv),
+                "--tau", "0.05", "--steps", "3", "--method", "discrete",
+                "--out", str(traj)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(u_csv) in err and "line 4" in err
+    assert not traj.exists()
 
 
 def test_simulate_refuses_a_mistyped_input_row(workspace, capsys):

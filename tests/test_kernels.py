@@ -27,7 +27,8 @@ class TestCompactSvd:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((5, 3))
         d = compact_svd(m)
-        assert np.linalg.norm(d.matrix() - m) <= 1e-12 * np.linalg.norm(m)
+        assert np.linalg.norm((d.U * d.S) @ d.V.T - m) <= \
+            1e-12 * np.linalg.norm(m)
 
     def test_zero_matrix_empty_decomposition(self):
         d = compact_svd(np.zeros((4, 2)))

@@ -137,20 +137,23 @@ class TestSimulateDiscrete:
         b = rng.standard_normal((2, 1))
         model = HpdsModel(3, 2, t, B=b)
         x0 = rng.standard_normal(2) * 0.3
-        u = rng.standard_normal((1, 1))
-        s = simulate_discrete(model, x0, u=u, tau=0.1, steps=1)
+        u = rng.standard_normal((1, 2))
+        s = simulate_discrete(model, x0, u=u, tau=0.1, steps=2)
         expected = x0 + 0.1 * eval_derivative(model, x0) + b @ u[:, 0]
-        assert np.allclose(s.X1[:, 0], expected)
+        assert np.allclose(s.X0[:, 1], expected)
         assert np.allclose(s.X0[:, 0], x0)
 
-    def test_x1_is_shifted_states(self):
+    def test_samples_carry_no_x1(self):
+        # the next states are X0's later columns; the autonomous fit, which
+        # needs derivatives, points discrete data to the io path
         rng = np.random.default_rng(8)
         t = tc.almost_symmetrize(rng.standard_normal((2, 2, 2)))
         model = HpdsModel(3, 2, t)
         s = simulate_discrete(model, rng.standard_normal(2) * 0.2,
                               tau=0.05, steps=10)
-        assert s.x1_kind == "next_state"
-        assert np.allclose(s.X1[:, :-1], s.X0[:, 1:])
+        assert s.X1 is None
+        with pytest.raises(ArgumentError, match="io path"):
+            identify_full(s, 3)
 
     def test_outputs_follow_states(self):
         rng = np.random.default_rng(9)
@@ -233,7 +236,6 @@ def _reference_continuous(model, x0, u, tau, steps, method):
 def _reference_discrete(model, x0, u, tau, steps):
     x = np.asarray(x0, dtype=float).ravel()
     states = np.zeros((model.n, steps))
-    nxt = np.zeros((model.n, steps))
     for i in range(steps):
         states[:, i] = x
         x = x + tau * _reference_derivative(model, x, None)
@@ -241,8 +243,7 @@ def _reference_discrete(model, x0, u, tau, steps):
             x = x + model.B @ u[:, i]
         if not np.all(np.isfinite(x)):
             raise DivergenceError(i + 1)
-        nxt[:, i] = x
-    return states, nxt
+    return states, model.C @ states
 
 
 def _outcome(run):
@@ -265,13 +266,14 @@ def test_simulation_is_bitwise_the_per_step_loop(k, n, fmt, scheme,
                                                  scale, seed):
     dynamics = gen_instance(scheme, n, k, rank_cap=2, seed=seed).forms()[fmt]
     rng = np.random.default_rng(seed)
-    model = HpdsModel(k, n, dynamics, B=rng.standard_normal((n, 2)))
+    b = rng.standard_normal((n, 2))
+    x0 = scale * rng.uniform(-1, 1, n)
+    u = rng.uniform(-1, 1, (2, 30)) if with_input else None
+    model = HpdsModel(k, n, dynamics, B=b, C=rng.standard_normal((2, n)))
     if from_file:
         # arrays read back from a model file have their own memory layout
         text = serialize.dump_json(serialize.model_to_obj(model))
         model = serialize.model_from_obj(json.loads(text))
-    x0 = scale * rng.uniform(-1, 1, n)
-    u = rng.uniform(-1, 1, (2, 30)) if with_input else None
     steps, tau = 30, 0.05
 
     got = _outcome(lambda: simulate_discrete(model, x0, u, tau, steps))
@@ -280,7 +282,7 @@ def test_simulation_is_bitwise_the_per_step_loop(k, n, fmt, scheme,
         assert got == want
     else:
         assert np.array_equal(got.X0, want[0])
-        assert np.array_equal(got.X1, want[1])
+        assert np.array_equal(got.Y0, want[1])
     for method in ("rk4", "euler"):
         got = _outcome(lambda: simulate_continuous(model, x0, u, tau, steps,
                                                    method))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -164,22 +165,23 @@ class TestTrajectoryCsv:
         assert loaded.X1 is None
         assert np.array_equal(loaded.U0, samples.U0)
 
-    @pytest.mark.parametrize("kind", ["derivative", "next_state"])
-    def test_text_is_the_format_float_loop(self, kind, tmp_path):
+    @pytest.mark.parametrize("with_x1", [True, False],
+                             ids=["derivative", "discrete"])
+    def test_text_is_the_format_float_loop(self, with_x1, tmp_path):
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((2, 6))
         x0[:, 0] = [-0.0, 0.0]
         x0[:, 1] = [1e-300, -1e300]
         x0[:, 2] = [3.0, -17.0]
         x0[:, 3] = [5e-324, 1e16]
-        samples = SampleSet(tau=0.1, X0=x0, X1=rng.standard_normal((2, 6)),
+        x1 = rng.standard_normal((2, 6))
+        samples = SampleSet(tau=0.1, X0=x0, X1=x1 if with_x1 else None,
                             U0=np.array([[1.0, -0.0, 2.5, 1e300, 7.0, 0.1]]),
-                            Y0=rng.standard_normal((3, 6)) * 1e-5,
-                            x1_kind=kind)
+                            Y0=rng.standard_normal((3, 6)) * 1e-5)
         path = tmp_path / "traj.csv"
         serialize.write_trajectory_csv(str(path), samples)
         # the writer's text, one format_float call per value
-        blocks = [samples.X0] + ([samples.X1] if kind == "derivative" else [])
+        blocks = [samples.X0] + ([samples.X1] if with_x1 else [])
         blocks += [samples.U0, samples.Y0]
         rows = []
         for i in range(6):
@@ -211,6 +213,17 @@ class TestTrajectoryCsv:
         assert run(["identify", "--data", str(path), "--order", "2",
                     "--out", str(tmp_path / "fit.json")]) == 1
 
+    @pytest.mark.parametrize("header, column", [
+        ("t,x1,z1", "z1"), ("t,x1,x1", "x1"), ("t,x1,t", "t"),
+        ("t,x0,x1", "x0"), ("t,x1,dy1", "dy1")])
+    def test_unknown_or_repeated_column_raises(self, tmp_path, header,
+                                               column):
+        path = tmp_path / "traj.csv"
+        path.write_text(header + "\n0,1,5\n0.1,2,6\n0.2,3,7\n")
+        named = f"{re.escape(str(path))}.*'{column}'"
+        with pytest.raises(ArgumentError, match=named):
+            serialize.read_trajectory_csv(str(path))
+
     def test_vector_and_input_csv(self, tmp_path):
         vec = tmp_path / "x0.csv"
         vec.write_text("0.5,-1\n")
@@ -237,6 +250,19 @@ class TestTrajectoryCsv:
             serialize.read_vector_csv(str(path))
         with pytest.raises(ValueError):
             serialize.read_input_csv(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("u1,u2\n1,2\n\n3,4x\n5,6\n", 4),   # not a number
+        ("\n1,2\n3,4\n5\n", 4),              # another width
+    ])
+    def test_a_parse_error_names_the_file_and_line(self, tmp_path, text,
+                                                   line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        named = f"{re.escape(str(path))}, line {line}:"
+        for read in (serialize.read_vector_csv, serialize.read_input_csv):
+            with pytest.raises(ValueError, match=named):
+                read(str(path))
 
     def test_a_header_is_optional_and_blank_lines_are_skipped(self, tmp_path):
         bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
@@ -321,17 +347,18 @@ class TestBitwiseRoundTrip:
         assert all(_same_bits(a, b) for a, b in zip(got, want))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(kind=st.sampled_from(["derivative", "next_state"]), drawn=FINITE,
+    @given(with_x1=st.booleans(), drawn=FINITE,
            start=st.integers(0, 50), n=st.integers(1, 3),
            samples=st.integers(2, 9), tau=st.sampled_from([0.02, 0.1, 0.5]),
            inputs=st.integers(0, 2), outputs=st.integers(0, 2))
-    def test_trajectories_read_back_bitwise(self, kind, drawn, start, n,
+    def test_trajectories_read_back_bitwise(self, with_x1, drawn, start, n,
                                             samples, tau, inputs, outputs):
         pool = np.array(SPECIAL + drawn)
         block = {name: _filled((rows, samples), pool, start + i)
                  if rows else None for i, (name, rows) in enumerate(
-                     (("X0", n), ("X1", n), ("U0", inputs), ("Y0", outputs)))}
-        data = SampleSet(tau=tau, x1_kind=kind, **block)
+                     (("X0", n), ("X1", n * with_x1), ("U0", inputs),
+                      ("Y0", outputs)))}
+        data = SampleSet(tau=tau, **block)
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "traj.csv")
             serialize.write_trajectory_csv(path, data)
@@ -340,9 +367,6 @@ class TestBitwiseRoundTrip:
             as_input = serialize.read_input_csv(path)
             as_vector = serialize.read_vector_csv(path)
         assert loaded.tau == tau
-        if kind == "next_state":
-            assert loaded.X1 is None
-            block["X1"] = None
         for name, values in block.items():
             if values is None:
                 assert getattr(loaded, name) is None

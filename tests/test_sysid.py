@@ -624,7 +624,7 @@ class TestIdentifiabilityIo:
         u0 = samples.U0.copy()
         u0[0, 3] = np.nan
         bad = SampleSet(tau=samples.tau, X0=samples.X0, U0=u0,
-                        Y0=samples.Y0, x1_kind=samples.x1_kind)
+                        Y0=samples.Y0)
         with pytest.raises(NumericError):
             check_identifiability_io(bad, 3)
 
@@ -663,8 +663,7 @@ class TestIdentifiabilityIo:
         if data == "zero_inputs":
             u0[:] = 0.0
         c, _ = np.linalg.qr(rng.standard_normal((n + 1, n)))
-        samples = SampleSet(tau=0.1, U0=u0, Y0=c @ states,
-                            x1_kind="next_state")
+        samples = SampleSet(tau=0.1, U0=u0, Y0=c @ states)
         report = check_identifiability_io(samples, k, n, tol)
         assert report.required_rank == required
         y = compact_svd(samples.Y0, tol)
@@ -704,7 +703,7 @@ class TestIdentifyIo:
         fitted = identify_io(samples, 3)
         # continue past the training window with fresh inputs
         rng = np.random.default_rng(5)
-        t_train = samples.samples
+        t_train = samples.Y0.shape[1]
         u_long = np.hstack([u, 0.1 * rng.standard_normal((2, 10))])
         reference = simulate_discrete(truth_model, x0, u=u_long, tau=0.05,
                                       steps=t_train + 10)
@@ -867,8 +866,7 @@ class TestIdentifyIoNoisy:
         states = np.array([[100.0, 100.0, -100.0, 100.0, -100.0, 100.0],
                            [1.0, -3.0, 2.0, 4.0, -1.0, 20.0]])
         c = np.array([[0.6, 0.0], [0.0, 1.0], [0.8, 0.0]])
-        samples = SampleSet(tau=0.1, U0=np.zeros((0, 6)), Y0=c @ states,
-                            x1_kind="next_state")
+        samples = SampleSet(tau=0.1, U0=np.zeros((0, 6)), Y0=c @ states)
         tol = RankTolerance("absolute", 10.0)
         assert check_identifiability_io(samples, 3, 2, tol).satisfied
         with pytest.raises(IdentifiabilityError) as err:
