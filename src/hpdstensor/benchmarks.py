@@ -124,7 +124,10 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
     instance's from its dense tensor (``from_dense``).  Past the desk-scale
     limit on the dense tensor, a low_ht instance is refused, and a
     symmetric or low_tt instance has no full form, up to the size where
-    the default thresholds of its largest unfoldings leave roundoff.
+    the default thresholds of its largest unfoldings leave roundoff; a
+    symmetric instance also while its largest unfolding of distinct
+    entries, which its train and tree are decomposed from, stays within
+    that limit.  Every guard is checked before anything is drawn.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -136,6 +139,14 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
     if n ** k > DENSE_GUARD:
         if scheme == "low_ht":
             raise ScaleError(f"dense interchange needs n^k = {n ** k} entries")
+        if scheme == "symmetric":
+            # the largest unfolding of distinct entries its train and tree
+            # are decomposed from: i_k, a q-multiset and a (k-1-q)-multiset
+            block = n * max(math.comb(n + q - 1, q)
+                            * math.comb(n + k - q - 2, k - q - 1)
+                            for q in range(k))
+            if block > DENSE_GUARD:
+                raise ScaleError(f"symmetric unfoldings need {block} entries")
         if n ** (k - 1) > TRAIN_GUARD:
             raise ScaleError(f"default thresholds at n^(k-1) = {n ** (k - 1)}"
                              " rows are past roundoff")

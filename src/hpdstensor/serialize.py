@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 
 import numpy as np
@@ -259,24 +258,22 @@ def write_trajectory_csv(path: str, samples: SampleSet):
     the dx columns appear exactly when the samples carry derivatives X1."""
     if samples.X0 is None:
         raise ArgumentError("trajectory output needs states X0")
-    n = samples.X0.shape[0]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)]
-    columns = [samples.X0]
-    if samples.X1 is not None:
-        header += [f"dx{i + 1}" for i in range(n)]
-        columns.append(samples.X1)
-    if samples.U0 is not None:
-        header += [f"u{i + 1}" for i in range(samples.U0.shape[0])]
-        columns.append(samples.U0)
-    if samples.Y0 is not None:
-        header += [f"y{i + 1}" for i in range(samples.Y0.shape[0])]
-        columns.append(samples.Y0)
+    blocks = [samples.X0] + [b for b in (samples.X1, samples.U0, samples.Y0)
+                             if b is not None]
+    header = _trajectory_header(
+        samples.X0.shape[0], samples.X1 is not None,
+        0 if samples.U0 is None else samples.U0.shape[0],
+        0 if samples.Y0 is None else samples.Y0.shape[0])
     times = np.arange(samples.X0.shape[1]) * float(samples.tau)
-    _write_csv(path, header, np.vstack([times] + columns).T.tolist())
+    _write_csv(path, header, np.vstack([times] + blocks).T.tolist())
 
 
-# t, or a channel name and its positive index
-_TRAJECTORY_COLUMN = re.compile(r"t|(dx|x|u|y)[1-9][0-9]*")
+def _trajectory_header(n: int, with_dx: bool, m: int, l: int) -> list[str]:
+    """t,x1..xn[,dx1..dxn][,u1..um][,y1..yl]: the one trajectory layout."""
+    return (["t"] + [f"x{i + 1}" for i in range(n)]
+            + [f"dx{i + 1}" for i in range(n if with_dx else 0)]
+            + [f"u{i + 1}" for i in range(m)]
+            + [f"y{i + 1}" for i in range(l)])
 
 
 def read_trajectory_csv(path: str) -> SampleSet:
@@ -286,25 +283,20 @@ def read_trajectory_csv(path: str) -> SampleSet:
     data = rows.T
     if data.shape[0] != len(header):
         raise ShapeError(f"{path}: rows and header differ in width")
-
-    groups: dict[str, list[int]] = {}
-    for idx, name in enumerate(header):
-        if not _TRAJECTORY_COLUMN.fullmatch(name) or name in header[:idx]:
-            raise ArgumentError(f"{path}: unknown or repeated column {name!r}")
-        groups.setdefault(name.rstrip("0123456789"), []).append(idx)
-    if "t" not in groups or "x" not in groups:
-        raise ArgumentError("trajectory csv needs t and x columns")
-    t_row = data[groups["t"][0]]
+    kinds = [name.rstrip("0123456789") for name in header]
+    n, m, l = kinds.count("x"), kinds.count("u"), kinds.count("y")
+    if not n or header != _trajectory_header(n, "dx" in kinds, m, l):
+        raise ArgumentError(f"{path}: columns {header} are not "
+                            "t,x1..xn[,dx1..dxn][,u1..um][,y1..yl]")
+    t_row = data[0]
     tau = float(t_row[1] - t_row[0]) if t_row.size > 1 else 1.0
     if t_row.size > 2 and not np.allclose(np.diff(t_row), tau,
                                           rtol=1e-9, atol=1e-12):
         raise ArgumentError("trajectory csv is not uniformly sampled")
-
-    def block(key):
-        return data[groups[key]] if key in groups else None
-
-    return SampleSet(tau=tau, X0=block("x"), X1=block("dx"),
-                     U0=block("u"), Y0=block("y"))
+    ends = np.cumsum([1, n, n if "dx" in kinds else 0, m, l])
+    x0, x1, u0, y0 = (data[a:b].copy() if b > a else None
+                      for a, b in zip(ends[:-1], ends[1:]))
+    return SampleSet(tau=tau, X0=x0, X1=x1, U0=u0, Y0=y0)
 
 
 def read_vector_csv(path: str) -> np.ndarray:

@@ -108,6 +108,17 @@ class TestGenInstance:
         with pytest.raises(ScaleError):
             gen_instance("symmetric", 40, 10, seed=7)
 
+    @pytest.mark.parametrize("n,k", [(60000, 2), (300, 4)])
+    def test_symmetric_with_large_unfoldings_is_refused_before_drawing(
+            self, n, k, monkeypatch):
+        # within the train guard, but the largest unfolding of distinct
+        # entries holds 3.6e9 (n^2) and 4.1e9 entries, past the dense guard
+        def draw(*args):
+            raise AssertionError("coefficients drawn")
+        monkeypatch.setattr(benchmarks, "_symmetric_coefficients", draw)
+        with pytest.raises(ScaleError):
+            gen_instance("symmetric", n, k, seed=0)
+
     def test_low_tt_past_the_guard_has_its_train_and_tree(self):
         # 6^10 entries exceed the guard: no dense form, and the train and
         # tree are converted from the generated train

@@ -216,24 +216,10 @@ def _leftovers(directory) -> list[str]:
     return [p.name for p in directory.iterdir() if p.name.startswith(".tmp-")]
 
 
-def test_a_csv_parse_error_names_the_file_and_line(workspace, capsys):
-    _, paths = workspace
-    u_csv = paths["dir"] / "u.csv"
-    u_csv.write_text("u1,u2\n0.01,0.1\n\n0.03,0.0x3\n0.04,0.1\n")
-    traj = paths["dir"] / "traj.csv"
-    assert run(["simulate", "--model", str(paths["model"]),
-                "--x0", str(paths["x0"]), "--input", str(u_csv),
-                "--tau", "0.05", "--steps", "3", "--method", "discrete",
-                "--out", str(traj)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(u_csv) in err and "line 4" in err
-    assert not traj.exists()
-
-
 def test_simulate_refuses_a_mistyped_input_row(workspace, capsys):
     _, paths = workspace
     rows = ["u1,u2"] + [f"0.0{i},0.1" for i in range(12)]
-    rows[4] = "0.03,0.0x3"   # the fourth data row
+    rows[4] = "0.03,0.0x3"   # the fourth data row, line 5 of the file
     u_csv = paths["dir"] / "u.csv"
     u_csv.write_text("\n".join(rows) + "\n")
     traj = paths["dir"] / "traj.csv"
@@ -241,7 +227,8 @@ def test_simulate_refuses_a_mistyped_input_row(workspace, capsys):
                 "--x0", str(paths["x0"]), "--input", str(u_csv),
                 "--tau", "0.05", "--steps", "10", "--method", "discrete",
                 "--out", str(traj)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(u_csv) in err and "line 5" in err
     assert not traj.exists()
 
 

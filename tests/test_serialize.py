@@ -215,11 +215,15 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("header, column", [
         ("t,x1,z1", "z1"), ("t,x1,x1", "x1"), ("t,x1,t", "t"),
-        ("t,x0,x1", "x0"), ("t,x1,dy1", "dy1")])
+        ("t,x0,x1", "x0"), ("t,x1,dy1", "dy1"), ("t,x2,x1", "x2"),
+        ("t,x1,x3", "x3"), ("t,x1,x2,dx1", "dx1"), ("t,u1,x1", "u1")])
     def test_unknown_or_repeated_column_raises(self, tmp_path, header,
                                                column):
+        # the one layout is the writer's, t,x1..xn[,dx1..dxn][,u..][,y..]
         path = tmp_path / "traj.csv"
-        path.write_text(header + "\n0,1,5\n0.1,2,6\n0.2,3,7\n")
+        ones = ",1" * header.count(",")
+        path.write_text(header + "".join(f"\n{t}{ones}" for t in (0, 0.1, 0.2))
+                        + "\n")
         named = f"{re.escape(str(path))}.*'{column}'"
         with pytest.raises(ArgumentError, match=named):
             serialize.read_trajectory_csv(str(path))
