@@ -6,10 +6,11 @@ built from low-rank trees.  A symmetric instance is drawn as its monomial
 coefficients, one value per index multiset, and every form of it is built
 from them; a low-rank train is drawn as its cores, and every form of it is
 built from them, so it never decomposes its dense tensor; a low-rank tree
-is decomposed from its dense tensor.  Memory reports compare exact
-parameter counts; timing reports measure controllability-matrix
-construction per representation and refuse to record a run whose
-representations disagree on the reachable rank.
+is decomposed from its dense tensor.  Each form is built when it is first
+read, so a caller that reads one form pays for that one alone.  Memory
+reports compare exact parameter counts; timing reports measure
+controllability-matrix construction per representation and refuse to
+record a run whose representations disagree on the reachable rank.
 """
 
 from __future__ import annotations
@@ -53,19 +54,38 @@ class BenchRecord:
     seed: int
 
 
-@dataclass(frozen=True)
 class Instance:
-    """One generated dynamic tensor in every available representation."""
+    """One generated dynamic tensor in every available representation.
 
-    dense: np.ndarray | None
-    tt: TensorTrain | None
-    ht: HTucker | None
+    ``dense``, ``tt`` and ``ht`` read the full, tt and ht forms, None where
+    a form is absent.  ``Instance(dense, tt, ht)`` keeps the forms it is
+    given.  An instance from :func:`gen_instance` holds the ``names`` of the
+    forms present and builds each on its first read, as
+    ``build(FORMATS[name])``, keeping the result; :meth:`forms` builds them
+    all.
+    """
+
+    def __init__(self, dense=None, tt=None, ht=None, *, build=None,
+                 names=()):
+        self._built = {name: dyn for name, dyn in
+                       zip(("full", "tt", "ht"), (dense, tt, ht))
+                       if dyn is not None}
+        self._names = names or tuple(self._built)
+        self._build = build
+
+    def _form(self, name: str):
+        if name in self._names and name not in self._built:
+            self._built[name] = self._build(FORMATS[name])
+        return self._built.get(name)
+
+    dense = property(lambda self: self._form("full"))
+    tt = property(lambda self: self._form("tt"))
+    ht = property(lambda self: self._form("ht"))
 
     def forms(self) -> dict:
-        """The representations present, keyed by their model format name."""
-        return {name: dyn for name, dyn in
-                (("full", self.dense), ("tt", self.tt), ("ht", self.ht))
-                if dyn is not None}
+        """Every representation present, built, keyed by its model format
+        name."""
+        return {name: self._form(name) for name in self._names}
 
 
 def _symmetric_coefficients(n: int, k: int, seed: int):
@@ -116,21 +136,26 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
                  seed: int = 0) -> Instance:
     """Generate one instance in every representation.
 
-    Every form is built through :data:`model.FORMATS`, with the dense
-    tensor's ranks, measured, not assumed from the caps: a symmetric
-    instance's from its monomial coefficients (``from_coefficients``), a
-    low_tt instance's from its train (``from_train``: rounded, converted to
-    the balanced tree, and contracted for the full form only), a low_ht
-    instance's from its dense tensor (``from_dense``).  Past the desk-scale
-    limit on the dense tensor, a low_ht instance is refused, and a
-    symmetric or low_tt instance has no full form, up to the size where
-    the default thresholds of its largest unfoldings leave roundoff; a
-    symmetric instance also while its largest unfolding of distinct
-    entries, which its train and tree are decomposed from, stays within
-    that limit.  Every guard is checked before anything is drawn.
+    Every guard is checked, and the instance drawn, here; each form is
+    built on its first read from the instance, and :meth:`Instance.forms`
+    builds every form present.  Every form is built through
+    :data:`model.FORMATS`, with the dense tensor's ranks, measured, not
+    assumed from the caps: a symmetric instance's from its monomial
+    coefficients (``from_coefficients``), a low_tt instance's from its
+    train (``from_train``: rounded, converted to the balanced tree, and
+    contracted for the full form only), a low_ht instance's from its dense
+    tensor (``from_dense``).  Past the desk-scale limit on the dense
+    tensor, a low_ht instance is refused, and a symmetric or low_tt
+    instance has no full form, up to the size where the default thresholds
+    of its largest unfoldings leave roundoff; a symmetric instance also
+    while its largest unfolding of distinct entries, which its train and
+    tree are decomposed from, stays within that limit.  Every guard is
+    checked before anything is drawn.
     """
     if scheme not in SCHEMES:
         raise ArgumentError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if n < 1:
+        raise ArgumentError("dimension n must be >= 1")
     if rank_cap < 1:
         raise ArgumentError("rank_cap must be >= 1")
     if k < 2:
@@ -160,8 +185,7 @@ def gen_instance(scheme: str, n: int, k: int, rank_cap: int = 2,
     else:
         dense = htd_reconstruct(_random_ht(n, k, rank_cap, seed))
         build = lambda fmt: fmt.from_dense(dense, None)
-    forms = {name: build(FORMATS[name]) for name in names}
-    return Instance(forms.get("full"), forms["tt"], forms["ht"])
+    return Instance(build=build, names=names)
 
 
 def memory_report(n: int, k_list, schemes=SCHEMES, rank_cap: int = 2,

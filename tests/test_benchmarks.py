@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -12,8 +13,9 @@ from hpdstensor.benchmarks import (SCHEMES, gen_instance, memory_report,
 from hpdstensor.errors import ArgumentError, ScaleError
 from hpdstensor.hier_tucker import (htd_contract, htd_decompose,
                                     htd_param_count, htd_reconstruct)
+from hpdstensor.model import FORMATS
 from hpdstensor.randomness import generator
-from hpdstensor.tensor_train import (tt_contract, tt_decompose,
+from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
                                      tt_param_count, tt_reconstruct)
 
 
@@ -164,6 +166,17 @@ class TestGenInstance:
         with pytest.raises(ArgumentError):
             gen_instance(scheme, 3, 1)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_dimension_below_one_is_refused_before_drawing(
+            self, scheme, n, monkeypatch):
+        def draw(*args):
+            raise AssertionError("instance drawn")
+        for name in ("_symmetric_coefficients", "_random_tt", "_random_ht"):
+            monkeypatch.setattr(benchmarks, name, draw)
+        with pytest.raises(ArgumentError, match="dimension n"):
+            gen_instance(scheme, n, 3)
+
 
 def count_factored(monkeypatch):
     """From now on, the entries passed to numpy's QR and SVD, summed per
@@ -187,7 +200,7 @@ class TestWorkDone:
         # the decompositions factor matrices built from the n * C(n+k-2,
         # k-1) monomial coefficients, never the n^k = 78,125 dense entries
         counts = count_factored(monkeypatch)
-        gen_instance("symmetric", 5, 7, seed=1)
+        gen_instance("symmetric", 5, 7, seed=1).forms()
         assert 0 < counts["qr"] + counts["svd"] < 5 ** 7
 
     def test_low_tt_instance_factors_less_than_one_pass(self, monkeypatch):
@@ -195,7 +208,7 @@ class TestWorkDone:
         # most n r^2 or r_left r_right r^2 entries, never the n^k = 262,144
         # dense entries that decomposing its dense tensor reads
         counts = count_factored(monkeypatch)
-        gen_instance("low_tt", 8, 6, rank_cap=4, seed=1)
+        gen_instance("low_tt", 8, 6, rank_cap=4, seed=1).forms()
         assert 0 < counts["qr"] + counts["svd"] < 8 ** 6
 
     def test_tree_leaves_factor_shrinking_cores(self, monkeypatch):
@@ -206,6 +219,64 @@ class TestWorkDone:
         counts = count_factored(monkeypatch)
         htd_decompose(dense)
         assert counts["qr"] <= 993_280
+
+
+class TestLazyForms:
+    def test_reading_the_dense_form_factors_nothing(self, monkeypatch):
+        counts = count_factored(monkeypatch)
+        inst = gen_instance("symmetric", 5, 7, seed=1)
+        assert inst.dense.shape == (5,) * 7
+        assert counts == {"qr": 0, "svd": 0}
+
+    @pytest.mark.parametrize("fmt", ["tt", "ht"])
+    def test_a_form_is_built_once(self, fmt, monkeypatch):
+        calls = []
+        entry = FORMATS[fmt]
+
+        def counting(*args):
+            calls.append(args)
+            return entry.from_coefficients(*args)
+
+        monkeypatch.setitem(FORMATS, fmt,
+                            replace(entry, from_coefficients=counting))
+        inst = gen_instance("symmetric", 4, 5, seed=3)
+        assert calls == []
+        first = getattr(inst, fmt)
+        assert getattr(inst, fmt) is first and inst.forms()[fmt] is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme,n,k", [("symmetric", 4, 5),
+                                            ("low_tt", 3, 6),
+                                            ("low_ht", 3, 5),
+                                            ("symmetric", 6, 10),
+                                            ("low_tt", 6, 10)])
+    def test_each_form_is_its_constructor_on_the_draw(self, scheme, n, k):
+        if scheme == "symmetric":
+            coeffs, tables = benchmarks._symmetric_coefficients(n, k, 2)
+            build = lambda fmt: fmt.from_coefficients(coeffs, tables, None)
+        elif scheme == "low_tt":
+            train = benchmarks._random_tt(n, k, 2, 2)
+            build = lambda fmt: fmt.from_train(train)
+        else:
+            dense = htd_reconstruct(benchmarks._random_ht(n, k, 2, 2))
+            build = lambda fmt: fmt.from_dense(dense, None)
+        forms = gen_instance(scheme, n, k, rank_cap=2, seed=2).forms()
+        assert list(forms) == (["full", "tt", "ht"] if n ** k <= 10 ** 7
+                               else ["tt", "ht"])
+        for name, got in forms.items():
+            want = build(FORMATS[name])
+            assert leaf_bytes(got) == leaf_bytes(want), name
+
+
+def leaf_bytes(dyn) -> list[bytes]:
+    """The bytes of every array a form holds, in a fixed order."""
+    if isinstance(dyn, np.ndarray):
+        return [dyn.tobytes()]
+    if isinstance(dyn, TensorTrain):
+        return [core.tobytes() for core in dyn.cores]
+    return [dyn.leaf_factors[mode].tobytes() for mode in sorted(
+        dyn.leaf_factors)] + [dyn.transfer[modes].tobytes()
+                              for modes in sorted(dyn.transfer)]
 
 
 class TestMemoryReport:
