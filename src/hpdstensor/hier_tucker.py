@@ -28,6 +28,7 @@ that unfolding's numerical rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -135,7 +136,8 @@ class HTucker:
     ``leaf_factors[p]`` is the n_p x r_p factor of mode p; ``transfer`` maps
     an internal node's mode tuple to its (r_left * r_right) x r_Q matrix,
     left-child rank fastest.  The root transfer has one column and absorbs
-    the overall scale.
+    the overall scale.  Both are stored as float arrays; a float64 array is
+    kept as it is, so factors given as one array stay one array.
     """
 
     tree: DimensionTree
@@ -145,13 +147,17 @@ class HTucker:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        for name in ("leaf_factors", "transfer"):
+            object.__setattr__(self, name, {
+                key: np.asarray(value, dtype=float)
+                for key, value in getattr(self, name).items()})
         if len(self.dims) != self.tree.order:
             raise ShapeError("dims length must match tree order")
         for node in self.tree.leaves():
             p = node.modes[0]
             if p not in self.leaf_factors:
                 raise ShapeError(f"no leaf factor for mode {p}")
-            u = np.asarray(self.leaf_factors[p], dtype=float)
+            u = self.leaf_factors[p]
             if u.ndim != 2 or u.shape[0] != self.dims[p - 1]:
                 raise ShapeError(f"leaf {p} factor must be "
                                  f"{self.dims[p - 1]} x r, got {u.shape}")
@@ -159,20 +165,19 @@ class HTucker:
         for node in reversed(self.tree.internal_nodes()):
             if node.modes not in self.transfer:
                 raise ShapeError(f"no transfer matrix at node {node.modes}")
-            g = np.asarray(self.transfer[node.modes], dtype=float)
+            g = self.transfer[node.modes]
             rl = self._rank(node.left)
             rr = self._rank(node.right)
             if g.ndim != 2 or g.shape[0] != rl * rr:
                 raise ShapeError(f"transfer at {node.modes} must have "
                                  f"{rl} * {rr} rows, got {g.shape}")
-        root_g = np.asarray(self.transfer[self.tree.root.modes])
-        if root_g.shape[1] != 1:
+        if self.transfer[self.tree.root.modes].shape[1] != 1:
             raise ShapeError("root rank must be 1")
 
     def _rank(self, node: TreeNode) -> int:
         if node.is_leaf:
-            return np.asarray(self.leaf_factors[node.modes[0]]).shape[1]
-        return np.asarray(self.transfer[node.modes]).shape[1]
+            return self.leaf_factors[node.modes[0]].shape[1]
+        return self.transfer[node.modes].shape[1]
 
     def rank_of(self, modes) -> int:
         """Rank of the tree node that carries the given mode set."""
@@ -183,9 +188,16 @@ class HTucker:
         raise ArgumentError(f"mode set {key} is not a node of the tree")
 
     def max_rank(self) -> int:
-        ranks = [np.asarray(u).shape[1] for u in self.leaf_factors.values()]
-        ranks += [np.asarray(g).shape[1] for g in self.transfer.values()]
+        ranks = [u.shape[1] for u in self.leaf_factors.values()]
+        ranks += [g.shape[1] for g in self.transfer.values()]
         return max(ranks) if ranks else 0
+
+    @functools.cached_property
+    def _program(self) -> list:
+        """The tree's :func:`_post_order` program, built on first use and
+        kept: the value is frozen, so every sweep, evaluator and
+        reconstruction of it runs the same program."""
+        return _post_order(self)
 
 
 def _node_tol(tol: RankTolerance | None, dims, modes) -> RankTolerance:
@@ -416,7 +428,7 @@ def _post_order(h: HTucker) -> list:
             return
         visit(node.left)
         visit(node.right)
-        g = np.asarray(h.transfer[node.modes], dtype=float)
+        g = h.transfer[node.modes]
         program.append(g.reshape(h._rank(node.left), h._rank(node.right),
                                  g.shape[1], order="F"))
 
@@ -479,9 +491,7 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
 
 def htd_reconstruct(h: HTucker) -> np.ndarray:
     """Expand the tree back into a dense tensor."""
-    leaf_values = {p: np.asarray(u, dtype=float)
-                   for p, u in h.leaf_factors.items()}
-    vec = _run(_post_order(h), leaf_values)
+    vec = _run(h._program, h.leaf_factors)
     order = h.tree.root.ordered_modes()
     shaped = vec.reshape([h.dims[p - 1] for p in order], order="F")
     return np.transpose(shaped, np.argsort([p - 1 for p in order]))
@@ -496,25 +506,32 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
     with a = 1.  At an internal node the children's messages meet through
     the transfer matrix as an (a_left, a_right, t * r) array, which
     ``merge`` maps to the (a', t * r) array passed up.  The tree is walked
-    by the :func:`_post_order` program that evaluation and reconstruction
-    run.  Returns the n x a' matrix with rows indexed by mode k.
+    by the tree's one cached :func:`_post_order` program, the one that
+    evaluation and reconstruction run.  Returns the n x a' matrix with rows
+    indexed by mode k.
+
+    A node is two ``np.dot`` products, left message by transfer and right
+    message by that: the operands ``np.tensordot`` would form, without its
+    per-call axis bookkeeping, so the bits are its bits.
     """
     n, k = _require_cubical(h.dims)
     mats = _sweep_matrices(mats, n, k)
-    leaf_values = {p: (mats[p - 1].T @ np.asarray(u, dtype=float))[:, None]
+    leaf_values = {p: (mats[p - 1].T @ u)[:, None]
                    for p, u in h.leaf_factors.items() if p != k}
-    leaf_values[k] = np.asarray(h.leaf_factors[k], dtype=float)[None]
+    leaf_values[k] = h.leaf_factors[k][None]
 
     def meet(left: np.ndarray, right: np.ndarray,
              g3: np.ndarray) -> np.ndarray:
-        t, q = left.shape[1] * right.shape[1], g3.shape[2]
-        half = np.tensordot(left, g3, axes=(2, 0))           # (a, x, r, q)
-        met = np.tensordot(right, half, axes=(2, 2))         # (b, y, a, x, q)
-        met = met.transpose(2, 0, 3, 1, 4)                   # (a, b, x, y, q)
-        merged = merge(met.reshape(left.shape[0], right.shape[0], t * q))
-        return merged.reshape(merged.shape[0], t, q)
+        # explicit sizes: a -1 is ambiguous once a rank is 0
+        (a, x, r_l), (b, y, r_r), q = left.shape, right.shape, g3.shape[2]
+        half = np.dot(left.reshape(a * x, r_l), g3.reshape(r_l, r_r * q))
+        half = half.reshape(a, x, r_r, q).transpose(2, 0, 1, 3)
+        met = np.dot(right.reshape(b * y, r_r), half.reshape(r_r, a * x * q))
+        met = met.reshape(b, y, a, x, q).transpose(2, 0, 3, 1, 4)
+        merged = merge(met.reshape(a, b, x * y * q))
+        return merged.reshape(merged.shape[0], x * y, q)
 
-    return _run(_post_order(h), leaf_values, meet)[:, :, 0].T
+    return _run(h._program, leaf_values, meet)[:, :, 0].T
 
 
 def htd_contract(h: HTucker, args) -> np.ndarray:
@@ -531,15 +548,13 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
 def htd_evaluator(h: HTucker):
     """``x -> A_(k) x^[k-1]`` on the tree, laid out once.
 
-    The tree is walked once into a post-order program with every transfer
-    already split for the node product; the returned function substitutes
-    x^T U_p at leaves p < k and runs the program.  It takes a float
-    n-vector and checks nothing.
+    It runs the tree's one cached post-order program, every transfer
+    already split for the node product, the one :func:`htd_sweep` and
+    :func:`htd_reconstruct` run; the returned function substitutes x^T U_p
+    at leaves p < k.  It takes a float n-vector and checks nothing.
     """
     _, k = _require_cubical(h.dims)
-    program = _post_order(h)
-    factors = {p: np.asarray(u, dtype=float)
-               for p, u in h.leaf_factors.items()}
+    program, factors = h._program, h.leaf_factors
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         row = x[None, :]
@@ -552,6 +567,5 @@ def htd_evaluator(h: HTucker):
 
 def htd_param_count(h: HTucker) -> int:
     """Total stored entries over leaf factors and transfer matrices."""
-    total = sum(np.asarray(u).size for u in h.leaf_factors.values())
-    total += sum(np.asarray(g).size for g in h.transfer.values())
-    return int(total)
+    return sum(u.size for u in h.leaf_factors.values()) + sum(
+        g.size for g in h.transfer.values())

@@ -211,11 +211,19 @@ def tt_sweep(train: TensorTrain, mats, merge) -> np.ndarray:
     ``mats[p - 1]`` extends it to an (a, c_p, r_p) array, which ``merge``
     maps to the (a', r_p) array the sweep continues with.  The last core
     closes the chain: returns the n x a' matrix with rows indexed by mode k.
+
+    Each core meets the message in one ``np.dot`` of the message and the
+    core unfolded r_{p-1} x (n r_p): the operands ``np.tensordot`` would
+    form, without its per-call axis bookkeeping, so the bits are its bits.
     """
     n, k = _require_cubical(train.dims)
     msg = np.ones((1, 1))
     for core, mat in zip(train.cores[:-1], _sweep_matrices(mats, n, k)):
-        msg = merge(mat.T @ np.tensordot(msg, core, axes=(1, 0)))
+        r, _, r_next = core.shape
+        # explicit sizes: a -1 is ambiguous once a rank is 0
+        msg = np.dot(msg, core.reshape(r, n * r_next)).reshape(
+            msg.shape[0], n, r_next)
+        msg = merge(mat.T @ msg)
     return (msg @ train.cores[-1][:, :, 0]).T
 
 

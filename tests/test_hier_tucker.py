@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpdstensor import hier_tucker, serialize
 from hpdstensor import tensor_core as tc
+from hpdstensor.analysis import (_row_space, controllability_ht,
+                                 observability_ht)
 from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
                                     _climb, _train_tree, build_tree,
                                     htd_contract,
-                                    htd_decompose, htd_param_count,
+                                    htd_decompose, htd_evaluator,
+                                    htd_param_count,
                                     htd_reconstruct, htd_sweep)
 from hpdstensor.kernels import (RankTolerance, left_basis,
                                 orthonormal_deviation)
+from hpdstensor.model import HpdsModel, simulate_discrete
 from hpdstensor.tensor_core import _keep_every_row
 from hpdstensor.tensor_train import (TensorTrain, tt_contract, tt_decompose,
                                      tt_reconstruct)
@@ -449,6 +454,60 @@ class TestOneTreeWalker:
         want = recursive_sweep(h, mats, merge)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestOneProgramPerTree:
+    def test_every_kernel_runs_the_one_program(self, monkeypatch):
+        built, original = [], hier_tucker._post_order
+
+        def counted(h):
+            built.append(h)
+            return original(h)
+
+        monkeypatch.setattr(hier_tucker, "_post_order", counted)
+        n, k = 4, 4
+        h = gen_instance("symmetric", n, k, seed=5).ht
+        rng = np.random.default_rng(5)
+        reach = controllability_ht(h, rng.uniform(-1, 1, (n, 1)))
+        assert reach.iterations >= 2
+        observability_ht(h, rng.uniform(-1, 1, (1, n)),
+                         rng.uniform(-1, 1, n), depth=n - 1)
+        htd_contract(h, [rng.standard_normal(n)] * (k - 1))
+        htd_reconstruct(h)
+        simulate_discrete(HpdsModel(k, n, h), rng.uniform(-0.1, 0.1, n),
+                          tau=0.01, steps=5)
+        assert built == [h]
+
+    @pytest.mark.parametrize("form", ["list", "int"])
+    def test_lists_and_ints_are_stored_as_floats(self, form):
+        n, k = 3, 4
+        rng = np.random.default_rng(8)
+        h = htd_decompose(rng.standard_normal((n,) * k))
+        ints = [{key: rng.integers(-3, 4, value.shape)
+                 for key, value in table.items()}
+                for table in (h.leaf_factors, h.transfer)]
+        want = HTucker(h.tree, h.dims, *[
+            {key: value.astype(float) for key, value in table.items()}
+            for table in ints])
+        got = HTucker(h.tree, h.dims, *[
+            {key: value.tolist() if form == "list" else value
+             for key, value in table.items()} for table in ints])
+        assert all(value.dtype == float for table in
+                   (got.leaf_factors, got.transfer)
+                   for value in table.values())
+        mats = [rng.standard_normal((n, 2)) for _ in range(k - 1)]
+        for merge in (_keep_every_row, _row_space):
+            assert (htd_sweep(got, mats, merge).tobytes()
+                    == htd_sweep(want, mats, merge).tobytes())
+        x = rng.standard_normal(n)
+        assert (htd_evaluator(got)(x).tobytes()
+                == htd_evaluator(want)(x).tobytes())
+        assert (htd_reconstruct(got).tobytes()
+                == htd_reconstruct(want).tobytes())
+        assert (serialize.dump_json(serialize.ht_to_obj(got))
+                == serialize.dump_json(serialize.ht_to_obj(want)))
+        assert htd_param_count(got) == htd_param_count(want)
+        assert got.max_rank() == want.max_rank()
 
 
 class TestParamCount:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import tensor_core as tc
+from hpdstensor.analysis import _row_space, _taylor_merge
 from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import htd_decompose
@@ -11,7 +12,7 @@ from hpdstensor.kernels import RankTolerance, numerical_rank, right_basis
 from hpdstensor.model import FORMATS, HpdsModel, eval_derivative, format_of
 from hpdstensor.tensor_train import (TensorTrain, _tt_round, tt_contract,
                                      tt_decompose, tt_param_count,
-                                     tt_reconstruct, tt_zero)
+                                     tt_reconstruct, tt_sweep, tt_zero)
 
 
 def random_tensor(shape, seed):
@@ -307,6 +308,55 @@ class TestContract:
         train = tt_decompose(random_tensor((2, 2, 2), 19))
         with pytest.raises(ArgumentError):
             tt_contract(train, [np.ones(2)])
+
+
+def tensordot_sweep(train, mats, merge):
+    """The train sweep as one ``np.tensordot`` per core, before each core
+    met the message in one ``np.dot``: the reference the sweep is pinned
+    to."""
+    msg = np.ones((1, 1))
+    for core, mat in zip(train.cores[:-1], mats):
+        msg = merge(mat.T @ np.tensordot(msg, core, axes=(1, 0)))
+    return (msg @ train.cores[-1][:, :, 0]).T
+
+
+def sweep_trains(k):
+    """Trains of order k over n = 3: random cores (C-contiguous), a
+    decomposed tensor (cores are Fortran-ordered views), and for k >= 3 an
+    interior rank of 0."""
+    n, rng = 3, np.random.default_rng(90 + k)
+    trains = {"random": _random_tt(n, k, 4, 90 + k),
+              "decomposed": tt_decompose(rng.standard_normal((n,) * k))}
+    if k >= 3:
+        ranks = [1] + [2] * (k - 1) + [1]
+        ranks[k // 2] = 0
+        trains["rank_0"] = TensorTrain(tuple(
+            rng.standard_normal((ranks[p], n, ranks[p + 1]))
+            for p in range(k)))
+    return trains
+
+
+def sweep_merges():
+    """(merge, argument columns per slot): the analyses' merges, the
+    Taylor one at degrees 0 and 1 over n = 3."""
+    return {"keep_every_row": (tc._keep_every_row, [2, 1, 3, 2, 1]),
+            "row_space": (_row_space, [3] * 5),
+            "taylor_0": (_taylor_merge(0, 3), [4] * 5),
+            "taylor_1": (_taylor_merge(1, 3), [8] * 5)}
+
+
+class TestOneDotSweep:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("merge_name", sorted(sweep_merges()))
+    def test_sweep_matches_the_tensordot_loop_bitwise(self, k, merge_name):
+        merge, columns = sweep_merges()[merge_name]
+        rng = np.random.default_rng(k)
+        for name, train in sweep_trains(k).items():
+            mats = [rng.standard_normal((3, c)) for c in columns[:k - 1]]
+            got = tt_sweep(train, mats, merge)
+            want = tensordot_sweep(train, mats, merge)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestParamCount:
