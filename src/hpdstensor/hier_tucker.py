@@ -410,16 +410,23 @@ def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
                 g3: np.ndarray) -> np.ndarray:
-    """(right_val kron left_val) @ G with the left factor's indices fastest,
-    for G's rows split as ``g3`` (r_left, r_right, r)."""
-    out = np.einsum("ab,bdc,ed->aec", left_val, g3, right_val)
-    return out.reshape(left_val.shape[0] * right_val.shape[0], g3.shape[2],
-                       order="F")
+    """(right_val kron left_val) @ G with the left value's rows fastest,
+    for G's rows split as the C-contiguous ``g3`` (r_left, r_right, r):
+    two ``np.dot`` products, the left value by G as an r_left x (r_right r)
+    matrix, then the right value by that with its r_right axis first."""
+    # explicit sizes: a -1 is ambiguous once a rank is 0
+    (a, r_l), (e, r_r), q = left_val.shape, right_val.shape, g3.shape[2]
+    half = np.dot(left_val, g3.reshape(r_l, r_r * q))
+    if a > 1:
+        half = half.reshape(a, r_r, q).transpose(1, 0, 2)
+    return np.dot(right_val, half.reshape(r_r, a * q)).reshape(e * a, q)
 
 
 def _post_order(h: HTucker) -> list:
     """The tree as a program: leaves as their mode p and internal nodes as
-    their transfer split for :func:`_kron_apply`, children first."""
+    their transfer split (r_left, r_right, r), left child's rank fastest,
+    and stored C-contiguous, so that the r_left x (r_right r) matrix both
+    node products multiply by is a view; children first."""
     program = []
 
     def visit(node: TreeNode):
@@ -429,8 +436,8 @@ def _post_order(h: HTucker) -> list:
         visit(node.left)
         visit(node.right)
         g = h.transfer[node.modes]
-        program.append(g.reshape(h._rank(node.left), h._rank(node.right),
-                                 g.shape[1], order="F"))
+        program.append(np.ascontiguousarray(g.reshape(
+            h._rank(node.left), h._rank(node.right), g.shape[1], order="F")))
 
     visit(h.tree.root)
     return program
@@ -510,8 +517,9 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
     evaluation and reconstruction run.  Returns the n x a' matrix with rows
     indexed by mode k.
 
-    A node is two ``np.dot`` products, left message by transfer and right
-    message by that: the operands ``np.tensordot`` would form, without its
+    A node is two ``np.dot`` products, left message by transfer (a view
+    of the program's C-contiguous split transfer) and right message by
+    that: the operands ``np.tensordot`` would form, without its
     per-call axis bookkeeping, so the bits are its bits.
     """
     n, k = _require_cubical(h.dims)
@@ -548,10 +556,12 @@ def htd_contract(h: HTucker, args) -> np.ndarray:
 def htd_evaluator(h: HTucker):
     """``x -> A_(k) x^[k-1]`` on the tree, laid out once.
 
-    It runs the tree's one cached post-order program, every transfer
-    already split for the node product, the one :func:`htd_sweep` and
-    :func:`htd_reconstruct` run; the returned function substitutes x^T U_p
-    at leaves p < k.  It takes a float n-vector and checks nothing.
+    It runs the tree's one cached post-order program, the one
+    :func:`htd_sweep` runs, with every transfer already split and laid out
+    C-contiguous, and each internal node the two ``np.dot`` products of
+    :func:`_kron_apply`, as in :func:`htd_reconstruct`; the returned
+    function substitutes x^T U_p at leaves p < k.  It takes a float
+    n-vector and checks nothing.
     """
     _, k = _require_cubical(h.dims)
     program, factors = h._program, h.leaf_factors

@@ -185,17 +185,22 @@ def tt_evaluator(train: TensorTrain):
     Core p < k is kept as the n x (r_{p-1} r_p) matrix that
     ``np.tensordot(x, core, axes=(0, 1))`` would build on every call (not
     made contiguous: its layout decides the bits of the BLAS product), so
-    each step is one (1 x n) product and one rank-space product.  The
-    returned function takes a float n-vector and checks nothing.
+    each step is one (1 x n) product and one rank-space product.  Core 1's
+    (1 x r_1) product is the first message itself: the rank-space product
+    with the unit r_0 = 1 message is a one-term sum, exact, so it is
+    skipped.  The returned function takes a float n-vector and checks
+    nothing; the train has order k >= 2, as a model's has.
     """
     n, _ = _require_cubical(train.dims)
+    first, *middle = train.cores[:-1]
+    first = first[0]  # n x r_1, as r_0 = 1
     steps = [(core.transpose(1, 0, 2).reshape(n, -1),
-              (core.shape[0], core.shape[2])) for core in train.cores[:-1]]
+              (core.shape[0], core.shape[2])) for core in middle]
     last = train.cores[-1][:, :, 0]
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         row = x.reshape(1, n)
-        msg = np.ones(1)
+        msg = np.dot(row, first)[0]
         for mat, shape in steps:
             msg = msg @ np.dot(row, mat).reshape(shape)
         return msg @ last

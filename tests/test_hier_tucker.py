@@ -13,7 +13,8 @@ from hpdstensor.analysis import (_row_space, controllability_ht,
 from hpdstensor.benchmarks import _random_tt, gen_instance
 from hpdstensor.errors import ArgumentError, ShapeError
 from hpdstensor.hier_tucker import (DimensionTree, HTucker, TreeNode,
-                                    _climb, _train_tree, build_tree,
+                                    _climb, _symmetric_tree, _train_tree,
+                                    build_tree,
                                     htd_contract,
                                     htd_decompose, htd_evaluator,
                                     htd_param_count,
@@ -454,6 +455,120 @@ class TestOneTreeWalker:
         want = recursive_sweep(h, mats, merge)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def einsum_node(left, right, g):
+    """(right kron left) @ G as the three-operand ``np.einsum`` the tree's
+    evaluation and reconstruction ran before their two ``np.dot``
+    products: the reference they are held to within a forward-error
+    bound."""
+    g3 = g.reshape(left.shape[1], right.shape[1], g.shape[1], order="F")
+    out = np.einsum("ab,bdc,ed->aec", left, g3, right)
+    return out.reshape(left.shape[0] * right.shape[0], g.shape[1], order="F")
+
+
+def einsum_tree(h, values, absolute=False):
+    """The root value of the tree on the given leaf values, each node an
+    :func:`einsum_node` of its children's values, on |G| if ``absolute``."""
+    def value(node):
+        if node.is_leaf:
+            return values[node.modes[0]]
+        g = h.transfer[node.modes]
+        return einsum_node(value(node.left), value(node.right),
+                           np.abs(g) if absolute else g)
+
+    return value(h.tree.root)
+
+
+def node_product_gamma(h):
+    """gamma = 2 m eps with m = n + the sum over internal nodes of r_left
+    r_right: at most that many roundings lie on the way to any entry of an
+    evaluation or reconstruction (the leaf product x^T U_p and each node's
+    sums), so each of two ways of computing it is within gamma_m S / 2 of
+    the exact value, S the tree evaluated on absolute values (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    m = h.dims[0] + sum(h.rank_of(t.left.modes) * h.rank_of(t.right.modes)
+                        for t in h.tree.internal_nodes())
+    return 2 * m * EPS
+
+
+def tree_case(shape, k, source, n=3):
+    tree = {"balanced": build_tree(k), "caterpillar": caterpillar_tree(k),
+            "k_in_left_child": balanced_tree_over(
+                (k,) + tuple(range(1, k)))}[shape]
+    rng = np.random.default_rng(10 * k + len(shape))
+    if source == "symmetric":
+        tables = tc.multiset_tables(n, k - 1)
+        coeffs = rng.standard_normal((n, tables[2][k - 1].size))
+        h = _symmetric_tree(coeffs, tables, tree, None)
+        assert all(h.leaf_factors[p] is h.leaf_factors[1]
+                   for p in range(2, k))
+        return h
+    h = htd_decompose({"generic": rng.standard_normal((n,) * k),
+                       "zero": np.zeros((n,) * k)}[source], tree)
+    assert (h.rank_of((k,)) == 0) == (source == "zero")
+    return h
+
+
+TREE_CASES = pytest.mark.parametrize("shape,k,source", [
+    (shape, k, source) for shape in ("balanced", "caterpillar",
+                                     "k_in_left_child")
+    for k in range(2, 7) for source in ("generic", "symmetric", "zero")])
+
+
+class TestTwoDotNodeProduct:
+    """The node product of evaluation and reconstruction agrees with the
+    einsum it replaced, entrywise within gamma S; a zero tree (every rank
+    0) has S = 0, so it must be exactly zero."""
+
+    def probes(self, h):
+        rng = np.random.default_rng(h.dims[0] + len(h.dims))
+        return [scale * rng.uniform(-1, 1, h.dims[0])
+                for scale in (1e-3, 1.0, 1.0, 1e3)]
+
+    def leaf_values(self, h, x, absolute=False):
+        """x^T U_p at leaves p < k and U_k, or |x|^T |U_p| and |U_k|."""
+        k = len(h.dims)
+        factors = {p: np.abs(u) if absolute else u
+                   for p, u in h.leaf_factors.items()}
+        row = np.abs(x[None, :]) if absolute else x[None, :]
+        values = {p: row @ factors[p] for p in range(1, k)}
+        values[k] = factors[k]
+        return values
+
+    @TREE_CASES
+    def test_evaluator_matches_the_einsum_tree(self, shape, k, source):
+        h = tree_case(shape, k, source)
+        evaluate = htd_evaluator(h)
+        for x in self.probes(h):
+            got = evaluate(x)
+            want = einsum_tree(h, self.leaf_values(h, x)).ravel()
+            bound = node_product_gamma(h) * einsum_tree(
+                h, self.leaf_values(h, x, absolute=True),
+                absolute=True).ravel()
+            assert got.shape == (h.dims[0],)
+            assert np.all(np.abs(got - want) <= bound)
+            # the sweep's products, in another order
+            swept = htd_contract(h, [x] * (k - 1))
+            assert swept.shape == (h.dims[0], 1)
+            assert np.all(np.abs(got - swept[:, 0]) <= bound)
+
+    @TREE_CASES
+    def test_reconstruction_matches_the_einsum_tree(self, shape, k, source):
+        h = tree_case(shape, k, source)
+        order = h.tree.root.ordered_modes()
+
+        def dense(vec):
+            shaped = vec.reshape([h.dims[p - 1] for p in order], order="F")
+            return np.transpose(shaped, np.argsort([p - 1 for p in order]))
+
+        got = htd_reconstruct(h)
+        want = dense(einsum_tree(h, h.leaf_factors))
+        bound = node_product_gamma(h) * dense(einsum_tree(
+            h, {p: np.abs(u) for p, u in h.leaf_factors.items()},
+            absolute=True))
+        assert got.shape == want.shape == h.dims
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestOneProgramPerTree:

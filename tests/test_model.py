@@ -168,16 +168,22 @@ class TestSimulateDiscrete:
 # Reference copy of the per-step loop simulation ran before the prepared
 # evaluators: every derivative is an eval_derivative call that contracts
 # the dynamics afresh (np.tensordot chains on dense tensors and trains, a
-# recursive tree walk on an HTucker).
+# recursive tree walk on an HTucker).  A tree node is (U_right kron U_left)
+# G as two np.dot products, the left value by the transfer split r_left x
+# (r_right r) and laid out C-contiguous (its layout decides the bits), then
+# the right value by that, the left value's rows fastest.
 def _node_value(h, node, values):
     if node.is_leaf:
         return values[node.modes[0]]
     left = _node_value(h, node.left, values)
     right = _node_value(h, node.right, values)
     g = np.asarray(h.transfer[node.modes], dtype=float)
-    g3 = g.reshape(left.shape[1], right.shape[1], g.shape[1], order="F")
-    out = np.einsum("ab,bdc,ed->aec", left, g3, right)
-    return out.reshape(left.shape[0] * right.shape[0], g.shape[1], order="F")
+    (a, r_l), (e, r_r), q = left.shape, right.shape, g.shape[1]
+    g3 = np.ascontiguousarray(g.reshape(r_l, r_r, q, order="F"))
+    half = np.dot(left, g3.reshape(r_l, r_r * q))
+    if a > 1:
+        half = half.reshape(a, r_r, q).transpose(1, 0, 2)
+    return np.dot(right, half.reshape(r_r, a * q)).reshape(e * a, q)
 
 
 def _reference_evaluate(dynamics, x):
