@@ -26,7 +26,7 @@ from .errors import ArgumentError, NumericError, ScaleError
 from .hier_tucker import HTucker, build_tree, htd_reconstruct
 from .kernels import RankTolerance
 from .model import FORMATS
-from .randomness import generator
+from .randomness import generator, next_seed
 from .tensor_core import multiset_tables
 from .tensor_train import TensorTrain
 
@@ -241,7 +241,7 @@ def timing_report(n_list, k_list, schemes=SCHEMES, m: int = 5,
             for k in k_list:
                 k = int(k)
                 inst = _generate_for_timing(scheme, n, k, rank_cap, seed)
-                b = generator(seed + 1).random((n, m)) * 2.0 - 1.0
+                b = generator(next_seed(seed)).random((n, m)) * 2.0 - 1.0
                 ranks = {}
                 for name, dyn in inst.forms().items():
                     samples = []

@@ -6,14 +6,13 @@ divergence, 4 scale guard tripped.  Outputs are written atomically and,
 apart from the wall-clock rows of ``bench time``, reruns of the same
 command produce byte-identical files.  Format names (``--repr``,
 ``decompose --method``) are keys of ``model.FORMATS``, which builds each
-format from a dense tensor here, and of ``serialize.CODECS``, which stores it.
+format, and of ``serialize.CODECS``, which stores it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 
 from . import analysis, benchmarks, serialize
@@ -58,24 +57,18 @@ def cmd_identify(args) -> int:
     tol = _tolerance(args)
     try:
         if args.io:
-            model = identify_io_noisy(samples, args.order, tol=tol)
-            model = replace(model, dynamics=FORMATS[args.repr].from_dense(
-                model.dynamics, tol))
+            model = identify_io_noisy(samples, args.order, tol=tol,
+                                      form=args.repr)
         else:
             # tt and ht convert at the recovery's own conversion tolerance
             identify = {"full": identify_full, "tt": identify_tt,
                         "ht": identify_ht}[args.repr]
             model = identify(samples, args.order, tol=tol)
     except IdentifiabilityError as exc:
-        report = exc.report
-        serialize.write_json_file(args.out, {
-            "error": "identifiability",
-            "observed_rank": report.observed_rank,
-            "required_rank": report.required_rank,
-            "satisfied": report.satisfied,
-            "margin": report.margin,
-            "ill_conditioned": report.ill_conditioned,
-        })
+        fields = ("observed_rank", "required_rank", "satisfied", "margin",
+                  "ill_conditioned")
+        serialize.write_json_file(args.out, {"error": "identifiability", **{
+            name: getattr(exc.report, name) for name in fields}})
         print(f"identifiability condition failed: {exc}", file=sys.stderr)
         return 2
     serialize.write_model(args.out, model)

@@ -410,10 +410,11 @@ def _symmetric_tree(coeffs: np.ndarray, tables, tree: DimensionTree,
 
 def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
                 g3: np.ndarray) -> np.ndarray:
-    """(right_val kron left_val) @ G with the left value's rows fastest,
-    for G's rows split as the C-contiguous ``g3`` (r_left, r_right, r):
-    two ``np.dot`` products, the left value by G as an r_left x (r_right r)
-    matrix, then the right value by that with its r_right axis first."""
+    """The tree's one node product, once per internal node of every
+    :func:`_run`: (right_val kron left_val) @ G, the left value's rows
+    fastest, G's rows split as the C-contiguous ``g3`` (r_left, r_right,
+    r); two ``np.dot`` products, the left value by G as an r_left x
+    (r_right r) matrix, then the right value by that, r_right axis first."""
     # explicit sizes: a -1 is ambiguous once a rank is 0
     (a, r_l), (e, r_r), q = left_val.shape, right_val.shape, g3.shape[2]
     half = np.dot(left_val, g3.reshape(r_l, r_r * q))
@@ -425,8 +426,8 @@ def _kron_apply(left_val: np.ndarray, right_val: np.ndarray,
 def _post_order(h: HTucker) -> list:
     """The tree as a program: leaves as their mode p and internal nodes as
     their transfer split (r_left, r_right, r), left child's rank fastest,
-    and stored C-contiguous, so that the r_left x (r_right r) matrix both
-    node products multiply by is a view; children first."""
+    and stored C-contiguous, so that the r_left x (r_right r) matrix the
+    node product multiplies by is a view; children first."""
     program = []
 
     def visit(node: TreeNode):
@@ -443,7 +444,7 @@ def _post_order(h: HTucker) -> list:
     return program
 
 
-def _run(program: list, leaf_values: dict, meet=_kron_apply) -> np.ndarray:
+def _run(program: list, leaf_values: dict, meet) -> np.ndarray:
     """The root value of a :func:`_post_order` program, each internal node
     the ``meet`` of its children's values and its split transfer."""
     stack = []
@@ -498,7 +499,7 @@ def htd_decompose(tensor: np.ndarray, tree: DimensionTree | None = None,
 
 def htd_reconstruct(h: HTucker) -> np.ndarray:
     """Expand the tree back into a dense tensor."""
-    vec = _run(h._program, h.leaf_factors)
+    vec = _run(h._program, h.leaf_factors, _kron_apply)
     order = h.tree.root.ordered_modes()
     shaped = vec.reshape([h.dims[p - 1] for p in order], order="F")
     return np.transpose(shaped, np.argsort([p - 1 for p in order]))
@@ -517,10 +518,9 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
     evaluation and reconstruction run.  Returns the n x a' matrix with rows
     indexed by mode k.
 
-    A node is two ``np.dot`` products, left message by transfer (a view
-    of the program's C-contiguous split transfer) and right message by
-    that: the operands ``np.tensordot`` would form, without its
-    per-call axis bookkeeping, so the bits are its bits.
+    A node is :func:`_kron_apply` of the messages as (a x, r_left) and
+    (b y, r_right) matrices: the operands ``np.tensordot`` would form,
+    without its per-call axis bookkeeping, so the bits are its bits.
     """
     n, k = _require_cubical(h.dims)
     mats = _sweep_matrices(mats, n, k)
@@ -532,9 +532,8 @@ def htd_sweep(h: HTucker, mats, merge) -> np.ndarray:
              g3: np.ndarray) -> np.ndarray:
         # explicit sizes: a -1 is ambiguous once a rank is 0
         (a, x, r_l), (b, y, r_r), q = left.shape, right.shape, g3.shape[2]
-        half = np.dot(left.reshape(a * x, r_l), g3.reshape(r_l, r_r * q))
-        half = half.reshape(a, x, r_r, q).transpose(2, 0, 1, 3)
-        met = np.dot(right.reshape(b * y, r_r), half.reshape(r_r, a * x * q))
+        met = _kron_apply(left.reshape(a * x, r_l), right.reshape(b * y, r_r),
+                          g3)
         met = met.reshape(b, y, a, x, q).transpose(2, 0, 3, 1, 4)
         merged = merge(met.reshape(a, b, x * y * q))
         return merged.reshape(merged.shape[0], x * y, q)
@@ -558,7 +557,7 @@ def htd_evaluator(h: HTucker):
 
     It runs the tree's one cached post-order program, the one
     :func:`htd_sweep` runs, with every transfer already split and laid out
-    C-contiguous, and each internal node the two ``np.dot`` products of
+    C-contiguous, and each internal node the tree's one node product,
     :func:`_kron_apply`, as in :func:`htd_reconstruct`; the returned
     function substitutes x^T U_p at leaves p < k.  It takes a float
     n-vector and checks nothing.
@@ -570,7 +569,7 @@ def htd_evaluator(h: HTucker):
         row = x[None, :]
         leaf_values = {p: row @ factors[p] for p in range(1, k)}
         leaf_values[k] = factors[k]
-        return _run(program, leaf_values).ravel()
+        return _run(program, leaf_values, _kron_apply).ravel()
 
     return evaluate
 

@@ -28,7 +28,7 @@ from .hier_tucker import (HTucker, _symmetric_tree, _train_tree, build_tree,
                           htd_decompose, htd_evaluator, htd_param_count,
                           htd_sweep)
 from .kernels import numerical_rank
-from .randomness import gaussian
+from .randomness import gaussian, next_seed
 from .tensor_core import (_multiset_ranks, hpds_evaluator, sweep_leading,
                           unfold)
 from .tensor_train import (TensorTrain, _tt_round, _tt_svd, tt_decompose,
@@ -319,5 +319,5 @@ def add_noise(samples: SampleSet, sigma: float, seed: int = 0) -> SampleSet:
     if x1 is not None:
         x1 = x1 + gaussian(x1.shape, seed=seed, sigma=sigma)
     if y0 is not None:
-        y0 = y0 + gaussian(y0.shape, seed=seed + 1, sigma=sigma)
+        y0 = y0 + gaussian(y0.shape, seed=next_seed(seed), sigma=sigma)
     return replace(samples, X1=x1, Y0=y0)

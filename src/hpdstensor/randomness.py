@@ -21,6 +21,12 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def next_seed(seed: int) -> int:
+    """The seed of a second stream beside ``seed``'s: seed + 1, 2^64 - 1
+    wrapping to 0; one out of range is left for :func:`generator` to refuse."""
+    return (seed + 1) % 2 ** 64 if 0 <= seed < 2 ** 64 else seed
+
+
 def gaussian(shape, seed: int, sigma: float = 1.0) -> np.ndarray:
     """Standard-deviation ``sigma`` normal array via Box-Muller over Philox.
 

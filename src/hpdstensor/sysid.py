@@ -13,14 +13,14 @@ beside its target, :func:`_qr_fit`, which gives both the design's singular
 values and a triangular solve for the coefficients, so no singular vectors
 are computed.
 
-Every result is built from the n x M coefficients and their multiset
-tables by ``from_coefficients`` of :data:`model.FORMATS`, and only the full
-form gathers the n^k tensor.  Every unfolding of an almost symmetric
-tensor repeats a row once per ordering of its symmetric modes, so the
-train and the tree are decomposed on the distinct rows and columns,
-weighted by the square roots of their multiplicities, which have the dense
-unfolding's singular values and singular vectors.  An explicit tree for
-:func:`identify_ht` goes to :func:`hier_tucker._symmetric_tree` itself.
+Every result, autonomous or io, is built from the n x M coefficients and
+their multiset tables by ``from_coefficients`` of :data:`model.FORMATS`
+(:func:`identify_ht` by :func:`hier_tucker._symmetric_tree` on its tree),
+and only the full form gathers the n^k tensor.  Every unfolding of an
+almost symmetric tensor repeats a row once per ordering of its symmetric
+modes, so the train and the tree are decomposed on the distinct rows and
+columns, weighted by the square roots of their multiplicities, which have
+the dense unfolding's singular values and singular vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (ArgumentError, AssumptionError, IdentifiabilityError,
                      NumericError, ShapeError)
-from .hier_tucker import DimensionTree, _symmetric_tree
+from .hier_tucker import DimensionTree, _symmetric_tree, build_tree
 from .kernels import RankTolerance, _tol_at, compact_svd
 from .model import FORMATS, HpdsModel, SampleSet
 from .tensor_core import multiset_tables
@@ -206,8 +206,7 @@ def _recover_coefficients(samples: SampleSet, k: int,
 
 def _identify(samples: SampleSet, k: int, tol: RankTolerance | None,
               name: str) -> HpdsModel:
-    """The :data:`FORMATS` ``name`` form of the recovered coefficients, at
-    the recovery's conversion tolerance."""
+    """The ``name`` form of the recovered coefficients, at their tolerance."""
     coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
     return HpdsModel(k, samples.X0.shape[0], FORMATS[name].from_coefficients(
         coeffs, tables, conversion))
@@ -240,8 +239,7 @@ def identify_ht(samples: SampleSet, k: int,
     conversion tolerance, one basis per kind of node, with the ranks of the
     dense unfoldings.  The tree (default balanced) is checked before any
     data is factored."""
-    if tree is None:
-        return _identify(samples, k, tol, "ht")
+    tree = build_tree(k) if tree is None else tree
     if tree.order != k:
         raise ShapeError(f"tree order {tree.order} != k={k}")
     coeffs, conversion, tables = _recover_coefficients(samples, k, tol)
@@ -272,7 +270,8 @@ def _resolve_n(samples: SampleSet, n: int | None) -> int:
 
 
 def _io_fit(samples: SampleSet, k: int, n: int | None,
-            tol: RankTolerance | None, fit: bool = False):
+            tol: RankTolerance | None, fit: bool = False,
+            form: str = "full"):
     """``(report, model, X0)``: the io rank report, the model that solves
     the finite-difference regression (None without ``fit``) and the states
     it is solved over.
@@ -282,7 +281,8 @@ def _io_fit(samples: SampleSet, k: int, n: int | None,
     the inputs, is one :func:`_qr_fit`, which also gives the report.  tau is
     divided out of the monomial coefficients instead of scaling the design
     by it, which changes neither the rank nor the fitted dynamics.  The
-    model's C is the output basis.
+    dynamics are the ``form`` built from the fitted monomial coefficients
+    at ``tol``; the model's C is the output basis.
     """
     if samples.U0 is None or samples.Y0 is None:
         raise ArgumentError("io identification needs U0 and Y0")
@@ -312,7 +312,7 @@ def _io_fit(samples: SampleSet, k: int, n: int | None,
         raise IdentifiabilityError(report)
     coeffs = _qr_solve(tri, design.shape[0])
     count = root.size
-    dynamics = FORMATS["full"].from_coefficients(
+    dynamics = FORMATS[form].from_coefficients(
         coeffs[:, :count] / (samples.tau * root), tables, tol)
     return report, HpdsModel(k, n, dynamics, B=coeffs[:, count:],
                              C=c_est), x0
@@ -347,7 +347,8 @@ def identify_io(samples: SampleSet, k: int, n: int | None = None,
 
 
 def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
-                      tol: RankTolerance | None = None) -> HpdsModel:
+                      tol: RankTolerance | None = None,
+                      form: str = "full") -> HpdsModel:
     """Least-squares identification for noisy input-output data.
 
     Solves the two decoupled regressions (dynamics over [tau X0_hat; U0],
@@ -355,9 +356,10 @@ def identify_io_noisy(samples: SampleSet, k: int, n: int | None = None,
     regression needs X0 of rank n, or :class:`IdentifiabilityError` is
     raised.  The recovered tensor is almost symmetric by construction, as
     on the autonomous path; with sigma = 0 this coincides with
-    :func:`identify_io` up to roundoff.
+    :func:`identify_io` up to roundoff.  ``form`` (a :data:`FORMATS` key)
+    is built from the monomial coefficients alone.
     """
-    _, model, x0 = _io_fit(samples, k, n, tol, fit=True)
+    _, model, x0 = _io_fit(samples, k, n, tol, fit=True, form=form)
     report, tri = _qr_fit(x0, samples.Y0[:, :x0.shape[1]], x0.shape, tol,
                           model.n)
     if not report.satisfied:

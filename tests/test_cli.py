@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hpdstensor import cli, serialize
+from hpdstensor import model as model_module
 from hpdstensor import tensor_core as tc
 from hpdstensor.benchmarks import gen_instance
 from hpdstensor.cli import run
@@ -256,6 +257,61 @@ def test_a_seed_outside_64_bits_exits_1(workspace, capsys, seed):
         assert run(argv + ["--seed", seed, "--out", str(out)]) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists() and not _leftovers(paths["dir"])
+
+
+def _input_csv(path, t_count=30):
+    u = 0.1 * np.random.default_rng(2).standard_normal((t_count, 2))
+    path.write_text("".join(",".join(map(serialize.format_float, row)) + "\n"
+                            for row in u))
+    return path
+
+
+@pytest.mark.parametrize("seed,code", [(2 ** 64 - 1, 0), (2 ** 64, 1)])
+def test_the_top_seed_draws_a_second_stream(workspace, tmp_path, capsys,
+                                            seed, code):
+    # simulate's Y0 noise and bench time's B take the next seed's stream,
+    # which wraps at 2^64 - 1, while 2^64 stays refused
+    _, paths = workspace
+    u_csv = _input_csv(tmp_path / "u.csv")
+    out = tmp_path / "out"
+    simulate = ["simulate", "--model", str(paths["model"]),
+                "--x0", str(paths["x0"]), "--tau", "0.05", "--steps", "30",
+                "--noise-std", "1e-3"]
+    for argv in (simulate, simulate + ["--input", str(u_csv),
+                                       "--method", "discrete"],
+                 ["bench", "time", "--n", "3", "--k-min", "3", "--k-max",
+                  "3", "--scheme", "lowtt", "--m", "2", "--repeats", "1"]):
+        assert run(argv + ["--seed", str(seed), "--out", str(out)]) == code
+        assert out.exists() == (code == 0), argv
+        out.unlink(missing_ok=True)
+    assert capsys.readouterr().err.count("error: seed must be") == 3 * code
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-6"]])
+@pytest.mark.parametrize("rep,rebuild", [
+    ("tt", tt_reconstruct), ("ht", htd_reconstruct)])
+def test_identify_io_builds_the_format_from_coefficients(
+        workspace, tmp_path, monkeypatch, tol, rep, rebuild):
+    # --io --repr tt|ht never forms the n^k tensor, and gives the tensor of
+    # the full io fit
+    _, paths = workspace
+    commands, out = _io_round_trip(paths, _input_csv(tmp_path / "u.csv"),
+                                   tmp_path, "full")
+    assert run(commands[0]) == 0 and run(commands[1] + tol) == 0
+    full = serialize.read_model(str(out["fit.json"])).dynamics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    for name in ("tt_decompose", "htd_decompose", "_multiset_ranks"):
+        monkeypatch.setattr(model_module, name, refuse)
+    fit = tmp_path / f"fit_{rep}.json"
+    assert run(["identify", "--data", str(out["traj.csv"]), "--order", "3",
+                "--io", "--repr", rep, "--out", str(fit)] + tol) == 0
+    fitted = serialize.read_model(str(fit))
+    assert fitted.representation == rep
+    assert np.linalg.norm(rebuild(fitted.dynamics) - full) <= \
+        1e-12 * np.linalg.norm(full)
 
 
 def test_a_directory_as_model_or_out_exits_1(workspace, capsys):

@@ -593,6 +593,24 @@ class TestOneProgramPerTree:
                           tau=0.01, steps=5)
         assert built == [h]
 
+        # and every kernel's node is the one node product, once per node
+        products, kron = [], hier_tucker._kron_apply
+
+        def counted_kron(*args):
+            products.append(args)
+            return kron(*args)
+
+        monkeypatch.setattr(hier_tucker, "_kron_apply", counted_kron)
+        mats = [rng.standard_normal((n, 2)) for _ in range(k - 1)]
+        evaluate = htd_evaluator(h)
+        for kernel in (lambda: htd_sweep(h, mats, _row_space),
+                       lambda: htd_contract(h, mats),
+                       lambda: evaluate(rng.standard_normal(n)),
+                       lambda: htd_reconstruct(h)):
+            products.clear()
+            kernel()
+            assert len(products) == len(h.tree.internal_nodes())
+
     @pytest.mark.parametrize("form", ["list", "int"])
     def test_lists_and_ints_are_stored_as_floats(self, form):
         n, k = 3, 4

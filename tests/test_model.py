@@ -17,7 +17,7 @@ from hpdstensor.hier_tucker import HTucker, htd_decompose, htd_reconstruct
 from hpdstensor.model import (FORMATS, HpdsModel, SampleSet, add_noise,
                               eval_derivative, simulate_continuous,
                               simulate_discrete)
-from hpdstensor.randomness import generator
+from hpdstensor.randomness import gaussian, generator
 from hpdstensor.sysid import (identify_full, identify_ht, identify_tt,
                               required_rank)
 from hpdstensor.tensor_train import (TensorTrain, tt_decompose,
@@ -379,6 +379,25 @@ class TestAddNoise:
     def test_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(ArgumentError):
             add_noise(self.make_samples(), sigma, seed=0)
+
+    @pytest.mark.parametrize("seed,y0_seed", [(0, 1), (41, 42),
+                                              (2 ** 64 - 2, 2 ** 64 - 1),
+                                              (2 ** 64 - 1, 0)])
+    def test_each_channel_keeps_its_stream(self, seed, y0_seed):
+        # X1 reads the seed's stream and Y0 the next seed's, which wraps at
+        # the top of the range, so every other seed keeps its bytes
+        s, sigma = self.make_samples(), 1e-2
+        noisy = add_noise(s, sigma, seed=seed)
+        assert noisy.X1.tobytes() == (
+            s.X1 + gaussian(s.X1.shape, seed=seed, sigma=sigma)).tobytes()
+        assert noisy.Y0.tobytes() == (
+            s.Y0 + gaussian(s.Y0.shape, seed=y0_seed, sigma=sigma)).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_a_seed_out_of_range_is_refused_for_y0_alone(self, seed):
+        s = replace(self.make_samples(), X1=None)
+        with pytest.raises(ArgumentError):
+            add_noise(s, 1e-2, seed=seed)
 
     def test_noise_statistics(self):
         # mean within 4 sigma / sqrt(N), variance near sigma^2

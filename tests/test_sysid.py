@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpdstensor import kernels, sysid
+from hpdstensor import model as model_module
 from hpdstensor import tensor_core as tc
 from hpdstensor.errors import (ArgumentError, AssumptionError,
                                IdentifiabilityError, NumericError, ShapeError)
@@ -335,6 +336,19 @@ class TestIdentifyDecomposed:
         monkeypatch.setattr(np.linalg, "qr", refuse)
         with pytest.raises(ShapeError):
             identify_ht(s, 3, tree=build_tree(5))
+
+    def test_ht_default_tree_is_the_balanced_tree_bitwise(self):
+        rng = np.random.default_rng(26)
+        for k in (2, 3, 4, 5):
+            truth = tc.almost_symmetrize(rng.standard_normal((3,) * k))
+            s = exact_autonomous_samples(truth, required_rank(3, k) + 5, k)
+            got = identify_ht(s, k).dynamics
+            want = identify_ht(s, k, tree=build_tree(k)).dynamics
+            assert got.tree == want.tree
+            for table, other in ((got.leaf_factors, want.leaf_factors),
+                                 (got.transfer, want.transfer)):
+                assert {key: value.tobytes() for key, value in table.items()} \
+                    == {key: value.tobytes() for key, value in other.items()}
 
     def test_ht_node_ranks_match_unfoldings(self):
         rng = np.random.default_rng(22)
@@ -873,3 +887,64 @@ class TestIdentifyIoNoisy:
             identify_io_noisy(samples, 3, 2, tol)
         assert err.value.report.required_rank == 2
         assert err.value.report.observed_rank == 1
+
+
+def io_form_samples(kind, seed):
+    """Discrete io data of a cubic system (n=3, k=4, m=2): the noisy
+    dissipative one, or exact data whose drift is rank one or zero, which a
+    tolerance cuts to rank one, or to roundoff."""
+    if kind == "noisy":
+        return dissipative_io_setup(seed, sigma=1e-3, noise_seed=seed)[1]
+    rng = np.random.default_rng(50 + seed)
+    v, w = rng.standard_normal(3), rng.standard_normal(3)
+    scale = 0.3 if kind == "rank_one" else 0.0
+    truth = scale * tc.almost_symmetrize(np.einsum("i,j,k,l->ijkl",
+                                                   v, v, v, w))
+    model = HpdsModel(4, 3, truth, B=0.3 * rng.standard_normal((3, 2)),
+                      C=np.linalg.qr(rng.standard_normal((4, 3)))[0])
+    u = 0.1 * rng.standard_normal((2, 80))
+    return simulate_discrete(model, 0.3 * rng.standard_normal(3), u=u,
+                             tau=0.05, steps=80)
+
+
+def format_ranks(dynamics):
+    """Every rank of a train, or every node rank of a tree."""
+    if isinstance(dynamics, TensorTrain):
+        return tuple(dynamics.ranks)
+    return {node.modes: dynamics.rank_of(node.modes)
+            for node, _ in dynamics.tree.walk()}
+
+
+class TestIoFitInEveryFormat:
+    @pytest.mark.parametrize("form", ["tt", "ht"])
+    def test_no_dense_route(self, form, monkeypatch):
+        # the train and the tree are built from the fitted coefficients: no
+        # dense decomposition, and no gather of the n^k tensor
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for name in ("tt_decompose", "htd_decompose", "_multiset_ranks"):
+            monkeypatch.setattr(model_module, name, refuse)
+        fitted = identify_io_noisy(io_form_samples("noisy", 0), 4, form=form)
+        assert format_of(fitted.dynamics) == form
+
+    @pytest.mark.parametrize("tol", [None, 1e-10, 1e-6])
+    @pytest.mark.parametrize("kind,seed", [
+        ("noisy", 0), ("noisy", 1), ("noisy", 2), ("rank_one", 0),
+        ("rank_one", 1), ("rank_one", 3), ("zero_drift", 0),
+        ("zero_drift", 1)])
+    def test_ranks_and_tensor_of_the_full_fit_decomposed(self, kind, seed,
+                                                         tol):
+        samples = io_form_samples(kind, seed)
+        tol = None if tol is None else RankTolerance("relative", tol)
+        full = identify_io_noisy(samples, 4, tol=tol)
+        for form, rebuild in (("tt", tt_reconstruct), ("ht", htd_reconstruct)):
+            fitted = identify_io_noisy(samples, 4, tol=tol, form=form)
+            want = FORMATS[form].from_dense(full.dynamics, tol)
+            assert format_ranks(fitted.dynamics) == format_ranks(want)
+            if kind == "rank_one" and tol is not None:
+                assert FORMATS[form].max_rank(fitted.dynamics) == 1
+            assert np.linalg.norm(rebuild(fitted.dynamics) - rebuild(want)) \
+                <= 1e-12 * np.linalg.norm(full.dynamics)
+            assert fitted.B.tobytes() == full.B.tobytes()
+            assert fitted.C.tobytes() == full.C.tobytes()
